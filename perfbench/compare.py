@@ -1,13 +1,13 @@
 #!/usr/bin/env python3
 """Compare two checkouts on the perfbench end-to-end metrics.
 
-    python3 perfbench/compare.py BASE NEW [--pairs 10] [--workloads a,b]
-                                 [--seconds S] [--seed0 N]
+    python3 perfbench/compare.py BASE NEW [--workloads a,b]
 
 BASE and NEW are checkout roots (the parent commit and the change). For
-each workload the command runs --pairs alternating pairs (BASE first in
-even pairs, NEW first in odd ones; both sides of a pair use the same
-seed) and prints one row per workload and metric:
+each workload the command runs ten alternating pairs (BASE first in even
+pairs, NEW first in odd ones; both sides of a pair use the same seed),
+each run lasting run_seconds of NEW's BENCHMARK.json, and prints one row
+per workload and metric:
 
   better / worse   the medians differ by more than BASE's interquartile
                    spread AND one side wins at least 9/10 of the pairs
@@ -27,6 +27,10 @@ import os
 import statistics
 import subprocess
 import sys
+
+# Alternating pairs per workload; the 9-of-10 wins rule assumes ten.
+PAIRS = 10
+SEED0 = 1000
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -69,18 +73,12 @@ def main():
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("base")
     ap.add_argument("new")
-    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--workloads", default="")
-    ap.add_argument("--seconds", type=int, default=0,
-                    help="run length (default: run_seconds of NEW)")
-    ap.add_argument("--seed0", type=int, default=1000)
     args = ap.parse_args()
-    if args.pairs < 2:
-        ap.error("--pairs must be at least 2")
 
     with open(os.path.join(args.new, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
-    seconds = args.seconds or spec["run_seconds"]
+    seconds = spec["run_seconds"]
     workloads = (args.workloads.split(",") if args.workloads
                  else [w["name"] for w in spec["workloads"]])
 
@@ -88,11 +86,10 @@ def main():
     rows = []
     for w in workloads:
         runs = {"base": [], "new": []}
-        for i in range(args.pairs):
+        for i in range(PAIRS):
             order = ("base", "new") if i % 2 == 0 else ("new", "base")
             for side in order:
-                res = run_once(getattr(args, side), w, args.seed0 + i,
-                               seconds)
+                res = run_once(getattr(args, side), w, SEED0 + i, seconds)
                 failed |= not res["correct"] or res["failed"] > 0
                 runs[side].append(res["metrics"])
         for m in spec["end_to_end"]:

@@ -2,15 +2,18 @@
  * @file
  * perfbench: the end-to-end and per-layer benchmark of the simulator.
  *
- *   perfbench --workload NAME --seed N --seconds S --trace 0|1 --work DIR
+ *   perfbench --workload NAME --seed N --seconds S --trace 0|1
+ *
+ * Run it from the root of a checkout; scratch files go to kWorkDir.
  *
  * Each workload generates its design with designs::* and serializes it
  * with frontend::writePnl; from then on the simulator only sees the PNL
  * text. A run is a sequence of bursts, each of which does
  *
- *  1. one cold set-up of the cgen engine and one of the par-cgen engine
- *     at nproc/2 workers (parse, optimize, lower, emit, $CXX, dlopen,
- *     first cycle) into empty artifact directories;
+ *  1. cold set-ups of the cgen engine, and in the first burst one of
+ *     the par-cgen engine at nproc/2 workers (parse, optimize, lower,
+ *     emit, $CXX, dlopen, first cycle), each into an empty artifact
+ *     directory;
  *  2. rounds of steady-state slices of those engines and of a gang
  *     (R = 8) engine, each slice stepping the same cycles from the same
  *     start state;
@@ -67,92 +70,46 @@ using namespace perfbench;
 
 namespace {
 
+/** Bursts per untraced run (see run()). */
+constexpr uint32_t kBursts = 3;
+/** Cycles run before the start state of the timed slices. */
+constexpr uint64_t kWarmCycles = 1024;
 /** Timed slices per engine and run, at least; more while time
  *  remains. */
 constexpr size_t kMinSlices = 20;
 /** Checkpoint save/restore round trips on the cgen engine per burst. */
-constexpr size_t kCkptReps = 21;
+constexpr size_t kCkptReps = 50;
 /** Cycles stepped after a restore to check the continuation. */
 constexpr uint64_t kTailCycles = 1000;
-/** Serve steps and peeks land on multiples of this many cycles. */
-constexpr uint64_t kGrid = 64;
+/** Cycles per serve step request: the default batch of
+ *  bench/serve_throughput, the repository's closed-loop serve driver.
+ *  Serve peeks land on multiples of it. */
+constexpr uint64_t kStepCycles = 2048;
+/** Each serve client checkpoints once and restores once in every
+ *  group of this many steps, at seeded positions. */
+constexpr uint32_t kCkptEvery = 8;
 /** Gang lanes of the gang_lane_cps engine. */
 constexpr uint32_t kGangLanes = 8;
-/** Probe seconds at the reference host speed: the fast decile of the
- *  probe on an uncontended vCPU of the 4-vCPU Xeon host. */
-constexpr double kProbeRefSec = 0.0016;
-
-/**
- * A fixed integer and table-lookup kernel that measures how fast the
- * shared host runs this thread right now. Other tenants slow the host
- * by up to 1.9x for stretches of seconds to minutes; every timed sample
- * is paired with a probe run next to it and reported at the reference
- * speed (sample x kProbeRefSec / probe), which cancels that drift. The
- * kernel is part of the benchmark, so it is the same on both sides of
- * any comparison.
- */
-class Probe
-{
-  public:
-    Probe() : table_(size_t{1} << 16, 1) {}
-
-    double
-    seconds()
-    {
-        auto t0 = Clock::now();
-        uint64_t x = 88172645463325252ull, acc = 0;
-        const size_t mask = table_.size() - 1;
-        for (int i = 0; i < 400000; ++i) {
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            acc += table_[x & mask];
-            table_[(acc >> 3) & mask] ^= x;
-        }
-        return secondsSince(t0);
-    }
-
-    /** Median of @p n probe runs. */
-    double
-    median(size_t n)
-    {
-        std::vector<double> v;
-        for (size_t i = 0; i < n; ++i)
-            v.push_back(seconds());
-        return perfbench::median(v);
-    }
-
-  private:
-    std::vector<uint64_t> table_;
-};
-
-/** @p seconds[i] at the reference host speed, given the probe run
- *  next to each sample. */
-std::vector<double>
-atRefSpeed(const std::vector<double> &seconds,
-           const std::vector<double> &probe)
-{
-    std::vector<double> out;
-    for (size_t i = 0; i < seconds.size(); ++i)
-        out.push_back(seconds[i] * kProbeRefSec / probe[i]);
-    return out;
-}
+/** Artifact caches, trace files and set-up directories, relative to
+ *  the checkout root. */
+constexpr const char *kWorkDir = ".bench_build/perfbench/work";
 
 struct Workload
 {
     const char *name;
     rtl::Netlist (*make)();
-    /** Bursts per untraced run, each with one cold set-up of cgen and
-     *  of par (see run()). Fewer where $CXX takes seconds per set-up. */
-    uint32_t bursts;
-    /** Cycles run before the start state of the timed slices. */
-    uint64_t warmCycles;
-    /** Cycles per timed slice. */
+    /** Cold cgen set-ups per burst. The $CXX time of one set-up varies
+     *  by up to 2x on the shared host, with nothing measurable beside
+     *  it tracking the change, so setup_s is the median of many; fewer
+     *  where one $CXX takes many seconds. */
+    uint32_t setupsPerBurst;
+    /** Cycles per timed slice: short enough that a run times a hundred
+     *  or more slices per engine. */
     uint64_t sliceCycles;
-    /** Serve sessions stay within this many cycles past warmCycles. */
+    /** Serve sessions stay within this many cycles past kWarmCycles. */
     uint64_t serveCycles;
     /** Share of --seconds given to the serve window; the steady-state
-     *  slices get the rest. */
+     *  slices get the rest. Only serve-gated bounds a serve figure. */
     double serveShare;
     /** True where the checkpoint metrics are measured over the wire. */
     bool ckptOverWire;
@@ -172,9 +129,9 @@ makeServeGated()
 }
 
 const Workload kWorkloads[] = {
-    {"soc-mesh", makeSocMesh, 2, 1024, 16384, 65536, 0.3, false},
-    {"miner-dense", makeMinerDense, 3, 1024, 65536, 262144, 0.3, false},
-    {"serve-gated", makeServeGated, 3, 1024, 65536, 262144, 0.6, true},
+    {"soc-mesh", makeSocMesh, 1, 4096, 65536, 0.15, false},
+    {"miner-dense", makeMinerDense, 3, 16384, 262144, 0.15, false},
+    {"serve-gated", makeServeGated, 3, 16384, 262144, 0.6, true},
 };
 
 struct Args
@@ -183,7 +140,6 @@ struct Args
     uint64_t seed = 1;
     double seconds = 10;
     bool trace = false;
-    std::string work = ".bench_build/perfbench/work";
 };
 
 Args
@@ -203,8 +159,6 @@ parseArgs(int argc, char **argv)
             a.seconds = std::stod(v);
         else if (k == "--trace")
             a.trace = v == "1";
-        else if (k == "--work")
-            a.work = v;
         else
             fatal("unknown argument %s", k.c_str());
     }
@@ -221,6 +175,12 @@ class Metrics
     add(const std::string &name, double value, const std::string &unit)
     {
         items_.push_back({name, value, unit});
+    }
+
+    void
+    append(const Metrics &other)
+    {
+        items_.insert(items_.end(), other.items_.begin(), other.items_.end());
     }
 
     std::string
@@ -313,7 +273,6 @@ struct Sliced
     bool lanes = false;             ///< check every gang lane
     core::ArchState start;
     std::vector<double> seconds;
-    std::vector<double> probe;      ///< probe seconds before each slice
 };
 
 bool
@@ -327,13 +286,13 @@ checkSliced(const Sliced &s, const Reference &ref, Ledger &ledger)
  *  state as the start of every timed slice. */
 Sliced
 startSlices(core::SimEngine &engine, const std::string &what, bool lanes,
-            const Workload &w, const Reference &ref, Ledger &ledger)
+            const Reference &ref, Ledger &ledger)
 {
     Sliced s;
     s.engine = &engine;
     s.what = what;
     s.lanes = lanes;
-    engine.step(w.warmCycles - engine.cycles());
+    engine.step(kWarmCycles - engine.cycles());
     checkSliced(s, ref, ledger);
     engine.exportArch(s.start);
     return s;
@@ -342,20 +301,19 @@ startSlices(core::SimEngine &engine, const std::string &what, bool lanes,
 /**
  * Time slices of w.sliceCycles from each engine's start state, one slice
  * per engine per round, until @p budget seconds have passed (and at
- * least @p minRounds rounds ran), each slice right after a probe run.
- * Interleaving spreads each engine's samples over the whole window.
- * Every slice is checked against the reference.
+ * least @p minRounds rounds ran). Interleaving spreads each engine's
+ * samples over the whole window. Every slice is checked against the
+ * reference.
  */
 void
 timeRounds(std::vector<Sliced> &phases, const Workload &w,
            const Reference &ref, double budget, size_t minRounds,
-           Probe &probe, Ledger &ledger)
+           Ledger &ledger)
 {
     auto t0 = Clock::now();
     for (size_t r = 0; r < minRounds || secondsSince(t0) < budget; ++r)
         for (Sliced &s : phases) {
             s.engine->importArch(s.start);
-            s.probe.push_back(probe.seconds());
             auto ts = Clock::now();
             s.engine->step(w.sliceCycles);
             s.seconds.push_back(secondsSince(ts));
@@ -363,12 +321,27 @@ timeRounds(std::vector<Sliced> &phases, const Workload &w,
         }
 }
 
-/** Cycles (lane-cycles for a gang) per second of the median slice. */
+/**
+ * The fastest of many timed samples: the time a step takes when the
+ * shared host is not slowing this thread. Other tenants halve this
+ * thread's speed for stretches from under a second to minutes, and the
+ * share of a run they take varies from run to run. Any quantile of the
+ * samples jumps between the fast and the slow speed when that share
+ * crosses it; the fastest sample stays with the fast speed as long as
+ * a few samples see it (see README.md).
+ */
 double
-rate(const Workload &w, const std::vector<double> &seconds,
-     uint32_t lanes = 1)
+fastest(const std::vector<double> &v)
 {
-    return double(w.sliceCycles) * lanes / median(seconds);
+    return v.empty() ? 0 : *std::min_element(v.begin(), v.end());
+}
+
+/** Cycles (lane-cycles for a gang) per second of slices taking
+ *  @p seconds. */
+double
+rate(const Workload &w, double seconds, uint32_t lanes = 1)
+{
+    return double(w.sliceCycles) * lanes / seconds;
 }
 
 uint64_t
@@ -415,28 +388,25 @@ cgenCommand()
 }
 
 /** Save/restore round trips of v2 checkpoints on @p engine, each
- *  after a probe run and each restore checked against the reference;
- *  save and restore times are kept at the reference host speed. The
- *  traced run also times the bare exportArch/importArch. Returns the
- *  last blob. */
+ *  restore checked against the reference. The traced run also times
+ *  the bare exportArch/importArch. Returns the last blob. */
 std::string
 checkpointReps(core::SimEngine &engine, const Reference &ref, bool traced,
-               Probe &probe, Ledger &ledger, std::vector<double> &saveMs,
+               Ledger &ledger, std::vector<double> &saveMs,
                std::vector<double> &restoreMs, std::vector<double> &exportMs,
                std::vector<double> &importMs)
 {
     std::string blob;
     for (size_t i = 0; i < kCkptReps; ++i) {
-        const double scale = kProbeRefSec / probe.seconds();
         std::ostringstream out;
         auto t0 = Clock::now();
         core::saveCheckpoint(engine, out);
-        saveMs.push_back(secondsSince(t0) * 1e3 * scale);
+        saveMs.push_back(secondsSince(t0) * 1e3);
         blob = out.str();
         std::istringstream in(blob);
         t0 = Clock::now();
         core::restoreCheckpoint(engine, in);
-        restoreMs.push_back(secondsSince(t0) * 1e3 * scale);
+        restoreMs.push_back(secondsSince(t0) * 1e3);
         checkScalar(ledger, engine, ref, "restored checkpoint");
         if (traced) {
             core::ArchState st;
@@ -550,12 +520,15 @@ class ServeHost
 };
 
 /**
- * One closed-loop client for one burst: create a par+cgen session,
- * then until @p deadline send a seeded mix of step batches, peeks,
- * checkpoints and restores with no think time, then destroy the
- * session. Peeks are compared with the reference; the session stays
- * within the reference's peek horizon by restoring a held checkpoint
- * when a step would pass it.
+ * One closed-loop client for one burst: create a par+cgen session, then
+ * until @p deadline loop with no think time over groups of kCkptEvery
+ * step requests of kStepCycles each. Every step is followed by a peek
+ * of a seeded output port, compared with the reference. In each group
+ * one checkpoint and one restore (a rollback to the latest checkpoint)
+ * fall after seeded steps. A step that would pass the reference's peek
+ * horizon is preceded by a restore of the session's first checkpoint.
+ * Then destroy the session. The cadence is assumed, not taken from
+ * measured traffic; the run reports the share of each request type.
  */
 void
 runClient(const ServeHost &host, uint32_t idx, uint64_t seed,
@@ -583,66 +556,73 @@ runClient(const ServeHost &host, uint32_t idx, uint64_t seed,
         return;
 
     uint64_t cur = 0;
-    std::vector<std::pair<uint64_t, std::string>> held;
-    auto checkpoint = [&] {
+    // The first checkpoint and the latest one: (cycle, blob).
+    std::pair<uint64_t, std::string> first, latest;
+    auto checkpoint = [&](std::pair<uint64_t, std::string> &into) {
         Scope sp(tracer, "serve.checkpoint", session);
         std::string blob;
         auto t0 = Clock::now();
         bool ok = c.checkpoint(id, &blob);
         log.ckptMs.push_back(ms(t0));
-        if (!ledger.check(ok, "serve checkpoint: " + c.lastError()))
-            return;
-        if (held.size() < 4)
-            held.emplace_back(cur, std::move(blob));
-        else
-            held[1 + rng() % 3] = {cur, std::move(blob)};
+        if (ledger.check(ok, "serve checkpoint: " + c.lastError()))
+            into = {cur, std::move(blob)};
+        return ok;
     };
-    auto restore = [&] {
+    auto restore = [&](const std::pair<uint64_t, std::string> &from) {
         Scope sp(tracer, "serve.restore", session);
-        const auto &[cycle, blob] = held[rng() % held.size()];
         auto t0 = Clock::now();
-        bool ok = c.restore(id, blob);
+        bool ok = c.restore(id, from.second);
         log.restoreMs.push_back(ms(t0));
         if (ledger.check(ok, "serve restore: " + c.lastError()))
-            cur = cycle;
+            cur = from.first;
+        return ok;
     };
-    checkpoint();
+    if (!checkpoint(first))
+        return;
+    latest = first;
     const std::vector<std::string> &outs = ref.outputNames();
-    while (!held.empty() && Clock::now() < deadline) {
-        uint32_t r = rng() % 100;
-        if (r < 60) {
-            uint64_t n = kGrid * (1 + rng() % 16);
-            if (cur + n > ref.peekHorizon()) {
-                restore();
-                continue;
+    bool live = true;
+    while (live && Clock::now() < deadline) {
+        const uint32_t ckptAt = rng() % kCkptEvery;
+        const uint32_t restoreAt = rng() % kCkptEvery;
+        for (uint32_t i = 0; i < kCkptEvery && Clock::now() < deadline;
+             ++i) {
+            if (cur + kStepCycles > ref.peekHorizon() && !restore(first)) {
+                live = false;
+                break;
             }
-            Scope sp(tracer, "serve.step", session);
-            uint64_t after = 0;
-            auto t0 = Clock::now();
-            bool ok = c.step(id, n, &after);
-            auto t1 = Clock::now();
-            log.steps.push_back(
-                {n, std::chrono::duration<double, std::milli>(t1 - t0).count(),
-                 std::chrono::duration<double>(t1 - epoch).count()});
-            if (ledger.check(ok && after == cur + n,
-                             "serve step: " + c.lastError())) {
-                cur += n;
-                log.cycles += n;
+            {
+                Scope sp(tracer, "serve.step", session);
+                uint64_t after = 0;
+                auto t0 = Clock::now();
+                bool ok = c.step(id, kStepCycles, &after);
+                auto t1 = Clock::now();
+                log.steps.push_back(
+                    {kStepCycles,
+                     std::chrono::duration<double, std::milli>(t1 - t0)
+                         .count(),
+                     std::chrono::duration<double>(t1 - epoch).count()});
+                if (ledger.check(ok && after == cur + kStepCycles,
+                                 "serve step: " + c.lastError())) {
+                    cur += kStepCycles;
+                    log.cycles += kStepCycles;
+                }
             }
-        } else if (r < 85 && !outs.empty()) {
-            size_t p = rng() % outs.size();
-            Scope sp(tracer, "serve.peek", session);
-            rtl::BitVec v;
-            auto t0 = Clock::now();
-            bool ok = c.peek(id, outs[p], &v);
-            log.peekMs.push_back(ms(t0));
-            ledger.check(ok && v == ref.output(p, cur),
-                         "serve peek " + outs[p] + " at cycle " +
-                             std::to_string(cur));
-        } else if (r < 93) {
-            checkpoint();
-        } else {
-            restore();
+            if (!outs.empty()) {
+                size_t p = rng() % outs.size();
+                Scope sp(tracer, "serve.peek", session);
+                rtl::BitVec v;
+                auto t0 = Clock::now();
+                bool ok = c.peek(id, outs[p], &v);
+                log.peekMs.push_back(ms(t0));
+                ledger.check(ok && v == ref.output(p, cur),
+                             "serve peek " + outs[p] + " at cycle " +
+                                 std::to_string(cur));
+            }
+            if (i == ckptAt)
+                checkpoint(latest);
+            if (i == restoreAt)
+                restore(latest);
         }
     }
     ledger.check(c.destroySession(id), "serve destroy: " + c.lastError());
@@ -656,23 +636,16 @@ struct ServeBurst
 {
     std::vector<ClientLog> logs;    ///< one per client
     double t0 = 0, t1 = 0;          ///< [start, end) on the run clock
-    double probe = 0;               ///< probe seconds just before it
 };
 
-/**
- * Run every client for one burst of @p seconds. The burst's host speed
- * is the median of probe runs made just before it: serve runs every
- * vCPU, so no probe can run beside it.
- */
+/** Run every client for one burst of @p seconds. */
 ServeBurst
 serveBurst(const ServeHost &host, uint32_t clients, uint64_t seed,
            uint32_t burst, Clock::time_point epoch, double seconds,
-           const Reference &ref, Probe &probe, Ledger &ledger,
-           Tracer *tracer)
+           const Reference &ref, Ledger &ledger, Tracer *tracer)
 {
     ServeBurst b;
     b.logs.resize(clients);
-    b.probe = probe.median(9);
     std::vector<ClientLog> &logs = b.logs;
     auto t0 = Clock::now();
     auto deadline = t0 + std::chrono::duration_cast<Clock::duration>(
@@ -695,13 +668,12 @@ serveBurst(const ServeHost &host, uint32_t clients, uint64_t seed,
 
 /**
  * Aggregate served cycles per second: the cycles of the steps that
- * complete in each kServeWindowSec sub-window of every burst, at the
- * burst's reference host speed (raw when @p atRef is false), median
+ * complete in each kServeWindowSec sub-window of every burst, median
  * over the sub-windows. Session creation is inside the first
  * sub-window of each burst.
  */
 double
-serveRate(const std::vector<ServeBurst> &bursts, bool atRef)
+serveRate(const std::vector<ServeBurst> &bursts)
 {
     std::vector<double> rates;
     for (const ServeBurst &b : bursts) {
@@ -713,26 +685,22 @@ serveRate(const std::vector<ServeBurst> &bursts, bool atRef)
                 if (k >= 0 && k < double(n))
                     cycles[static_cast<size_t>(k)] += double(s.cycles);
             }
-        const double scale = atRef ? b.probe / kProbeRefSec : 1.0;
         for (double c : cycles)
-            rates.push_back(c / kServeWindowSec * scale);
+            rates.push_back(c / kServeWindowSec);
     }
     return median(rates);
 }
 
-/** Every value @p field gives for a client log, over all bursts,
- *  scaled to the reference host speed when @p atRef. */
+/** Every value @p field gives for a client log, over all bursts. */
 template <typename F>
 std::vector<double>
-collect(const std::vector<ServeBurst> &bursts, bool atRef, F field)
+collect(const std::vector<ServeBurst> &bursts, F field)
 {
     std::vector<double> out;
-    for (const ServeBurst &b : bursts) {
-        const double scale = atRef ? kProbeRefSec / b.probe : 1.0;
+    for (const ServeBurst &b : bursts)
         for (const ClientLog &l : b.logs)
             for (double v : field(l))
-                out.push_back(v * scale);
-    }
+                out.push_back(v);
     return out;
 }
 
@@ -844,11 +812,13 @@ traceParSetup(const std::string &pnl, uint32_t threads,
     layer.add("rtl.cgen.par_src_bytes", double(bytes), "bytes");
 }
 
-/** Per-layer metrics from the profilers of the cgen and par engines,
- *  and the modeled r_cycle splits printed beside the measured one. */
+/** Per-layer metrics from the profilers of the cgen engine (into
+ *  @p layer) and the par engine (into @p parLayer), and the modeled
+ *  r_cycle splits printed beside the measured one. */
 void
 profiledLayers(const core::SimEngine &cgen, const core::SimEngine &par,
-               const std::string &pnl, uint32_t threads, Metrics &layer)
+               const std::string &pnl, uint32_t threads, Metrics &layer,
+               Metrics &parLayer)
 {
     obs::ProfileReport rep = obs::buildReport(*cgen.profiler());
     double simulated =
@@ -867,15 +837,15 @@ profiledLayers(const core::SimEngine &cgen, const core::SimEngine &par,
     rep = obs::buildReport(*par.profiler());
     double n = std::max<double>(1, rep.cyclesSampled);
     auto us = [&](double sec) { return sec * 1e6 / n; };
-    layer.add("x86.par.t_comp_us", us(rep.tCompSec), "us");
-    layer.add("x86.par.t_comm_us", us(rep.tCommSec), "us");
-    layer.add("x86.par.t_sync_us", us(rep.tSyncSec), "us");
-    layer.add("x86.par.commit_us", us(rep.commitSec), "us");
-    layer.add("x86.par.latch_us", us(rep.latchSec), "us");
-    layer.add("x86.par.exchange_us", us(rep.exchangeSec), "us");
-    layer.add("x86.par.eval_us", us(rep.evalSec), "us");
-    layer.add("x86.par.publish_us", us(rep.publishSec), "us");
-    layer.add("x86.par.exchange_words_per_cycle",
+    parLayer.add("x86.par.t_comp_us", us(rep.tCompSec), "us");
+    parLayer.add("x86.par.t_comm_us", us(rep.tCommSec), "us");
+    parLayer.add("x86.par.t_sync_us", us(rep.tSyncSec), "us");
+    parLayer.add("x86.par.commit_us", us(rep.commitSec), "us");
+    parLayer.add("x86.par.latch_us", us(rep.latchSec), "us");
+    parLayer.add("x86.par.exchange_us", us(rep.exchangeSec), "us");
+    parLayer.add("x86.par.eval_us", us(rep.evalSec), "us");
+    parLayer.add("x86.par.publish_us", us(rep.publishSec), "us");
+    parLayer.add("x86.par.exchange_words_per_cycle",
               double(counter(rep, obs::kExchangeWordsMoved)) /
                   std::max<double>(1, counter(rep, obs::kCyclesSimulated)),
               "words");
@@ -884,7 +854,7 @@ profiledLayers(const core::SimEngine &cgen, const core::SimEngine &par,
         mx = std::max(mx, v);
         sum += v;
     }
-    layer.add("x86.par.eval_imbalance",
+    parLayer.add("x86.par.eval_imbalance",
               sum > 0 ? mx * rep.shardEvalNs.size() / sum : 1, "ratio");
     double waitMax = 0;
     for (size_t i = 0; i < rep.workerWorkSec.size(); ++i) {
@@ -892,8 +862,8 @@ profiledLayers(const core::SimEngine &cgen, const core::SimEngine &par,
         if (tot > 0)
             waitMax = std::max(waitMax, rep.workerBarrierSec[i] / tot);
     }
-    layer.add("util.bsp_pool.wait_share_max", waitMax, "frac");
-    layer.add("x86.par.sampled_khz", rep.rateKHz(), "kHz");
+    parLayer.add("util.bsp_pool.wait_share_max", waitMax, "frac");
+    parLayer.add("x86.par.sampled_khz", rep.rateKHz(), "kHz");
 
     // Model beside measurement: the x86 Verilator model at the same
     // thread count, and the IPU model of the one-chip compile.
@@ -907,7 +877,7 @@ profiledLayers(const core::SimEngine &cgen, const core::SimEngine &par,
     m.comm = perf.tCommNs;
     m.sync = perf.tSyncNs;
     m.rateKHz = perf.rateKHz();
-    layer.add("x86.model.khz", perf.rateKHz(), "kHz");
+    parLayer.add("x86.model.khz", perf.rateKHz(), "kHz");
     std::printf("%s", obs::formatModeledVsMeasured(m, rep).c_str());
     auto sim = core::compile(frontend::parsePnl(pnl));
     std::printf("%s",
@@ -941,75 +911,95 @@ run(const Args &a)
         std::max(1u, std::thread::hardware_concurrency());
     const uint32_t parThreads = std::max(1u, nproc / 2);
     const uint32_t clients = std::max(1u, nproc - 1);
-    const fs::path work(a.work);
+    const fs::path work(kWorkDir);
     const fs::path runDir = freshDir(work / "run");
     const auto epoch = Clock::now();
 
     const std::string pnl = frontend::writePnl(w.make());
-    const uint64_t c0 = w.warmCycles, c1 = c0 + w.sliceCycles;
-    Reference ref(pnl, {c0, c1, c1 + kTailCycles}, kGrid,
+    const uint64_t c0 = kWarmCycles, c1 = c0 + w.sliceCycles;
+    Reference ref(pnl, {c0, c1, c1 + kTailCycles}, kStepCycles,
                   c0 + w.serveCycles);
 
     Ledger ledger;
     Tracer tracerObj;
     Tracer *tracer = a.trace ? &tracerObj : nullptr;
-    Metrics e2e, layer;
+    // Par figures go to parLayer, which is reported only when the par
+    // engine runs the workers it was asked for.
+    Metrics e2e, layer, parLayer;
+    bool parOk = false;
 
-    // The run is a sequence of bursts. Each burst does one cold set-up
-    // of cgen and of par, then times rounds of steady-state slices on
-    // the fresh engines, then a serve burst. Spreading the timed
-    // samples over the whole run, between the set-ups, keeps a slow
-    // stretch of the shared host from deciding a metric. The traced
-    // run is one burst whose steady half runs with the profilers on.
-    const uint32_t bursts = a.trace ? 1 : w.bursts;
+    // The run is a sequence of bursts. Each burst does cold set-ups of
+    // cgen (the first burst also one of par), then times rounds of
+    // steady-state slices on the newest engines, then a serve burst.
+    // Spreading the timed samples over the whole run, between the
+    // set-ups, keeps a slow stretch of the shared host from deciding a
+    // metric. The traced run is one burst with one set-up of each,
+    // whose steady half runs with the profilers on.
+    const uint32_t bursts = a.trace ? 1 : kBursts;
+    const uint32_t setups = a.trace ? 1 : w.setupsPerBurst;
     const double steadySec = a.seconds * (1 - w.serveShare) / bursts;
     const double serveSec = a.seconds * w.serveShare / bursts;
-    // Slice seconds at the reference host speed, and as measured.
-    std::vector<double> cgenSetup, parSetup, cgenSec, parSec, gangSec,
-        cgenRaw, parRaw;
+    // Set-up and slice seconds.
+    std::vector<double> cgenSetup, parSetup, cgenSec, parSec, gangSec;
     std::unique_ptr<core::SimEngine> cgen, par, gang;
-    Sliced gangStart;
+    Sliced parStart, gangStart;
     std::unique_ptr<ServeHost> host;
     std::vector<ServeBurst> serve;
-    Probe probe;
     double coldCreateMs = 0;
     std::vector<double> saveMs, restoreMs, exportMs, importMs;
     std::string blob;
     for (uint32_t b = 0; b < bursts; ++b) {
-        const std::string tag = std::to_string(b);
         double s = 0;
-        cgen = coldSetup(pnl, cgenOptions(), runDir / ("setup-cgen-" + tag),
-                         &s);
-        cgenSetup.push_back(s);
-        ledger.check(isNative(*cgen), "cgen native kernels");
-        const fs::path parDir = runDir / ("setup-par-" + tag);
-        par = coldSetup(pnl, parOptions(parThreads), parDir, &s);
-        parSetup.push_back(s);
-        ledger.check(isNative(*par), "par native kernels");
+        for (uint32_t i = 0; i < setups; ++i) {
+            cgen = coldSetup(pnl, cgenOptions(),
+                             runDir / strprintf("setup-cgen-%u-%u", b, i),
+                             &s);
+            cgenSetup.push_back(s);
+            ledger.check(isNative(*cgen), "cgen native kernels");
+        }
 
         if (b == 0) {
+            // The par and gang kernels of the untraced run come from a
+            // cache kept across runs: their cold set-up is not an
+            // end-to-end metric (see README.md) and a par $CXX takes up
+            // to 11 s. The traced run times one cold par set-up.
+            const fs::path kcache = work / "kcache";
+            if (tracer) {
+                par = coldSetup(pnl, parOptions(parThreads),
+                                runDir / "setup-par", &s);
+                parSetup.push_back(s);
+            }
+            useCgenDir(kcache);
+            if (!tracer)
+                par = core::makeEngine(
+                    rtl::optimize(frontend::parsePnl(pnl)),
+                    parOptions(parThreads));
+            ledger.check(isNative(*par), "par native kernels");
+
             auto &pi = dynamic_cast<rtl::ParallelInterpreter &>(*par);
             const uint32_t workers = pi.numWorkers();
             const size_t shards = pi.numShards();
+            // The engine may pick fewer shards than threads; it must not
+            // run fewer workers than requested or than its shards (the
+            // hardware-concurrency clamp of the BENCH_PR5-PR10 rows).
+            parOk = workers == parThreads && workers >= shards;
             std::printf(
                 "{\"stamp\": {\"workload\": \"%s\", \"seed\": %llu, "
                 "\"nproc\": %u, \"par_workers_requested\": %u, "
                 "\"par_workers_effective\": %u, "
                 "\"par_shards_requested\": %u, "
-                "\"par_shards_effective\": %zu, \"llc_bytes\": %ld, "
-                "\"cgen_cxx\": \"%s\", \"virtualized\": %s}}\n",
+                "\"par_shards_effective\": %zu, \"par_ok\": %s, "
+                "\"llc_bytes\": %ld, \"cgen_cxx\": \"%s\", "
+                "\"virtualized\": %s}}\n",
                 w.name, static_cast<unsigned long long>(a.seed), nproc,
                 parThreads, workers, parThreads, shards,
-                sysconf(_SC_LEVEL3_CACHE_SIZE), cgenCommand().c_str(),
-                virtualized() ? "true" : "false");
-            if (workers != parThreads || shards != parThreads) {
+                parOk ? "true" : "false", sysconf(_SC_LEVEL3_CACHE_SIZE),
+                cgenCommand().c_str(), virtualized() ? "true" : "false");
+            if (!parOk)
                 std::fprintf(stderr,
-                             "perfbench: par runs %u workers / %zu shards, "
-                             "not the requested %u; refusing to report a "
-                             "par number\n",
+                             "perfbench: par runs %u workers for %zu shards, "
+                             "%u requested; its figures are left out\n",
                              workers, shards, parThreads);
-                return 3;
-            }
             if (tracer) {
                 layer.add("x86.par.shards", double(shards), "count");
                 layer.add("x86.par.workers", double(workers), "count");
@@ -1018,40 +1008,35 @@ run(const Args &a)
                 layer.add("trace.overhead.setup_frac",
                           traced / cgenSetup[0] - 1, "frac");
                 traceParSetup(pnl, parThreads, runDir / "trace-par", tracer,
-                              ledger, layer);
+                              ledger, parLayer);
             }
-            // Gang kernels are not a set-up metric, so they compile
-            // into a cache kept across runs.
-            useCgenDir(work / "kcache");
             gang = core::makeEngine(rtl::optimize(frontend::parsePnl(pnl)),
                                     cgenOptions(kGangLanes));
             ledger.check(isNative(*gang), "gang native kernels");
-            gangStart = startSlices(*gang, "gang", true, w, ref, ledger);
-            // The untraced run opens the store on the directory this
-            // par set-up compiled into, so the run does not pay that
-            // $CXX again; the traced run starts it empty to time the
-            // cold create.
+            gangStart = startSlices(*gang, "gang", true, ref, ledger);
+            parStart = startSlices(*par, "par", false, ref, ledger);
+            // The untraced run opens the store on the kernel cache, so
+            // it does not pay the par $CXX again; the traced run starts
+            // it empty to time the cold create.
             host = std::make_unique<ServeHost>(
                 w.name, pnl, parThreads,
-                tracer ? freshDir(runDir / "serve-store") : parDir);
+                tracer ? freshDir(runDir / "serve-store") : kcache);
             coldCreateMs = host->coldCreate(ledger, tracer);
         }
 
         std::vector<Sliced> steady = {
-            startSlices(*cgen, "cgen", false, w, ref, ledger),
-            startSlices(*par, "par", false, w, ref, ledger), gangStart};
+            startSlices(*cgen, "cgen", false, ref, ledger), parStart,
+            gangStart};
         const size_t minRounds = (kMinSlices + bursts - 1) / bursts;
         timeRounds(steady, w, ref, tracer ? steadySec / 2 : steadySec,
-                   minRounds, probe, ledger);
+                   minRounds, ledger);
         auto append = [](std::vector<double> &to,
                          const std::vector<double> &from) {
             to.insert(to.end(), from.begin(), from.end());
         };
-        append(cgenSec, atRefSpeed(steady[0].seconds, steady[0].probe));
-        append(parSec, atRefSpeed(steady[1].seconds, steady[1].probe));
-        append(gangSec, atRefSpeed(steady[2].seconds, steady[2].probe));
-        append(cgenRaw, steady[0].seconds);
-        append(parRaw, steady[1].seconds);
+        append(cgenSec, steady[0].seconds);
+        append(parSec, steady[1].seconds);
+        append(gangSec, steady[2].seconds);
         if (tracer) {
             cgen->enableProfiling();
             par->enableProfiling();
@@ -1059,34 +1044,28 @@ run(const Args &a)
             for (Sliced &sl : profiled) {
                 sl.what += " profiled";
                 sl.seconds.clear();
-                sl.probe.clear();
             }
-            timeRounds(profiled, w, ref, steadySec / 2, minRounds, probe,
-                       ledger);
-            auto profiledRate = [&](const Sliced &sl) {
-                return rate(w, atRefSpeed(sl.seconds, sl.probe));
-            };
+            timeRounds(profiled, w, ref, steadySec / 2, minRounds, ledger);
             layer.add("trace.overhead.cgen_frac",
-                      rate(w, cgenSec) / profiledRate(profiled[0]) - 1,
+                      fastest(profiled[0].seconds) / fastest(cgenSec) - 1,
                       "frac");
-            layer.add("trace.overhead.par_frac",
-                      rate(w, parSec) / profiledRate(profiled[1]) - 1,
-                      "frac");
-            profiledLayers(*cgen, *par, pnl, parThreads, layer);
+            parLayer.add("trace.overhead.par_frac",
+                         fastest(profiled[1].seconds) / fastest(parSec) - 1,
+                         "frac");
+            profiledLayers(*cgen, *par, pnl, parThreads, layer, parLayer);
         }
         // Checkpoints on the cgen engine, at cycle c1.
-        blob = checkpointReps(*cgen, ref, tracer != nullptr, probe, ledger,
-                              saveMs, restoreMs, exportMs, importMs);
+        blob = checkpointReps(*cgen, ref, tracer != nullptr, ledger, saveMs,
+                              restoreMs, exportMs, importMs);
         serve.push_back(serveBurst(*host, clients, a.seed, b, epoch,
-                                   serveSec, ref, probe, ledger, tracer));
+                                   serveSec, ref, ledger, tracer));
     }
     const auto [artifactHits, artifactMisses] =
         host->artifactCounts(ledger);
     host.reset();
-    const double cgenCps = rate(w, cgenSec);
-    const double parCps = rate(w, parSec);
-    const double gangLaneCps = rate(w, gangSec, kGangLanes);
-    const double parCpsRaw = rate(w, parRaw);
+    const double cgenCps = rate(w, fastest(cgenSec));
+    const double parCps = rate(w, fastest(parSec));
+    const double gangLaneCps = rate(w, fastest(gangSec), kGangLanes);
 
     // The IPU model (simulated time; deterministic).
     std::unique_ptr<core::Simulation> sim;
@@ -1105,7 +1084,7 @@ run(const Args &a)
             v.push_back(s.ms);
         return v;
     };
-    const std::vector<double> stepMs = collect(serve, false, stepsOf);
+    const std::vector<double> stepMs = collect(serve, stepsOf);
     std::vector<uint64_t> clientCycles(clients, 0);
     for (const ServeBurst &b : serve)
         for (uint32_t i = 0; i < clients; ++i)
@@ -1146,33 +1125,33 @@ run(const Args &a)
         layer.add("rtl.opt.s", self["rtl.opt"], "s");
         layer.add("rtl.lower.s", self["rtl.lower"], "s");
         layer.add("rtl.cgen.emit_s", self["rtl.cgen.emit"], "s");
-        layer.add("fiber.s", self["fiber"], "s");
-        layer.add("x86.par.construct_s", self["x86.par.construct"], "s");
-        layer.add("x86.par.setup_s", parSetup[0], "s");
+        parLayer.add("fiber.s", self["fiber"], "s");
+        parLayer.add("x86.par.construct_s", self["x86.par.construct"], "s");
+        parLayer.add("x86.par.setup_s", parSetup[0], "s");
         layer.add("core.compile_s", self["core.compile"], "s");
 
         layer.add("serve.create_cold_ms", coldCreateMs, "ms");
         layer.add("serve.create_warm_ms",
-                  median(collect(serve, false, [](const ClientLog &l) {
+                  median(collect(serve, [](const ClientLog &l) {
                       return l.createMs;
                   })),
                   "ms");
         layer.add("serve.peek_ms",
-                  median(collect(serve, false, [](const ClientLog &l) {
+                  median(collect(serve, [](const ClientLog &l) {
                       return l.peekMs;
                   })),
                   "ms");
-        layer.add("serve.checkpoint_ms", median(collect(serve, false, ckptOf)),
+        layer.add("serve.checkpoint_ms", median(collect(serve, ckptOf)),
                   "ms");
-        layer.add("serve.restore_ms", median(collect(serve, false, restoreOf)),
+        layer.add("serve.restore_ms", median(collect(serve, restoreOf)),
                   "ms");
         std::vector<double> overhead;
         for (const ServeBurst &b : serve)
             for (const ClientLog &l : b.logs)
                 for (const Step &s : l.steps)
                     overhead.push_back(s.ms -
-                                       1e3 * double(s.cycles) / parCpsRaw);
-        layer.add("serve.step_overhead_ms", median(overhead), "ms");
+                                       1e3 * double(s.cycles) / parCps);
+        parLayer.add("serve.step_overhead_ms", median(overhead), "ms");
         layer.add("serve.step_p99_ms", percentile(stepMs, 0.99), "ms");
         layer.add("serve.artifact_hits", double(artifactHits), "count");
         layer.add("serve.artifact_misses", double(artifactMisses),
@@ -1193,37 +1172,52 @@ run(const Args &a)
         e2e.add("gang_lane_cps", gangLaneCps, "lane-cycles/s");
         e2e.add("ipu_model_khz", sim->rateKHz(), "kHz");
         e2e.add("ckpt_save_ms",
-                median(w.ckptOverWire ? collect(serve, true, ckptOf)
-                                      : saveMs),
+                fastest(w.ckptOverWire ? collect(serve, ckptOf) : saveMs),
                 "ms");
         e2e.add("ckpt_restore_ms",
-                median(w.ckptOverWire ? collect(serve, true, restoreOf)
-                                      : restoreMs),
+                fastest(w.ckptOverWire ? collect(serve, restoreOf)
+                                       : restoreMs),
                 "ms");
         e2e.add("ckpt_bytes", double(blob.size()), "bytes");
         e2e.add("peak_rss_mib", peakRssMib(), "MiB");
     }
 
     const uint64_t attempted = ledger.attempted(), failed = ledger.failed();
-    std::vector<double> probes;
+    // Request counts of the serve mix, over every client and burst.
+    size_t nSteps = 0, nPeeks = 0, nCkpts = 0, nRestores = 0;
     for (const ServeBurst &b : serve)
-        probes.push_back(b.probe);
+        for (const ClientLog &l : b.logs) {
+            nSteps += l.steps.size();
+            nPeeks += l.peekMs.size();
+            nCkpts += l.ckptMs.size();
+            nRestores += l.restoreMs.size();
+        }
+    const double requests =
+        std::max<double>(1, nSteps + nPeeks + nCkpts + nRestores);
     // par_cps, serve_cps and the step latencies are measured but not
     // bounded metrics: their run-to-run spread on the shared host passes
-    // the largest bound (see README.md).
+    // the largest bound (see README.md). Par figures are left out when
+    // the par engine did not run the requested workers.
+    const std::string parFigures =
+        parOk ? strprintf("\"par_cps\": %.6g, ", parCps) : "";
     std::printf("{\"summary\": {\"failed_frac\": %.6g, \"serve_steps\": "
-                "%zu, \"cgen_setup_s\": [%s], \"par_setup_s\": [%s], "
-                "\"probe_s\": [%s], \"at_ref_speed\": {\"par_cps\": "
-                "%.6g, \"serve_cps\": %.6g, \"step_p50_ms\": %.4f}, "
-                "\"measured\": {\"cgen_cps\": %.6g, \"par_cps\": %.6g, "
+                "%zu, \"serve_requests\": %.0f, \"serve_mix\": "
+                "{\"step\": %.4f, \"peek\": %.4f, \"checkpoint\": %.4f, "
+                "\"restore\": %.4f}, \"cgen_setup_s\": [%s], %s"
+                "\"slice_cps_p10_p50\": {\"cgen\": [%.6g, %.6g], "
+                "\"gang\": [%.6g, %.6g]}, "
                 "\"serve_cps\": %.6g, \"step_p50_ms\": %.4f, "
-                "\"step_p99_ms\": %.4f}}}\n",
+                "\"step_p99_ms\": %.4f}}\n",
                 attempted ? double(failed) / double(attempted) : 1.0,
-                stepMs.size(), joined(cgenSetup).c_str(),
-                joined(parSetup).c_str(), joined(probes).c_str(), parCps,
-                serveRate(serve, true), median(collect(serve, true, stepsOf)),
-                rate(w, cgenRaw), parCpsRaw, serveRate(serve, false),
+                nSteps, requests, nSteps / requests, nPeeks / requests,
+                nCkpts / requests, nRestores / requests,
+                joined(cgenSetup).c_str(), parFigures.c_str(),
+                rate(w, percentile(cgenSec, 0.1)), rate(w, median(cgenSec)),
+                rate(w, percentile(gangSec, 0.1), kGangLanes),
+                rate(w, median(gangSec), kGangLanes), serveRate(serve),
                 median(stepMs), percentile(stepMs, 0.99));
+    if (parOk)
+        layer.append(parLayer);
     std::printf("{\"correct\": %s, \"attempted\": %llu, \"failed\": %llu, "
                 "\"metrics\": %s}\n",
                 ledger.correct() ? "true" : "false",

@@ -91,7 +91,7 @@ def main():
 
     cmd = [os.path.join(BUILD, "perfbench"), "--workload", args.workload,
            "--seed", str(args.seed), "--seconds", str(args.seconds),
-           "--trace", str(args.trace), "--work", os.path.join(BUILD, "work")]
+           "--trace", str(args.trace)]
     # Its own process group, so a timeout also stops the $CXX children.
     proc = subprocess.Popen(cmd, stdout=subprocess.PIPE,
                             stderr=subprocess.PIPE, text=True,
