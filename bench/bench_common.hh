@@ -147,7 +147,7 @@ gmean(const std::vector<double> &v)
 struct PerfRecord
 {
     std::string design;
-    std::string engine;     ///< "interp", "ipu", "ipu-spawn", "par", ...
+    std::string engine;     ///< "interp", "ipu", "par", "par-cgen", ...
     uint32_t threads = 0;
     double cyclesPerSec = 0;
 
@@ -174,9 +174,10 @@ struct PerfRecord
     int activity = -1;
 
     /** Checkpoint columns (attached to the interp row of each
-     *  design): v2 compressed snapshot bytes vs the raw v1 engine
-     *  blob, plus save/restore wall latency. Emitted only when
-     *  snapshotBytes > 0, so older readers keep working. */
+     *  design): v2 compressed snapshot bytes vs the raw engine blob
+     *  (SimEngine::saveState), plus save/restore wall latency.
+     *  Emitted only when snapshotBytes > 0, so older readers keep
+     *  working. */
     uint64_t snapshotBytes = 0;
     uint64_t rawBlobBytes = 0;
     double saveMs = 0;

@@ -8,23 +8,18 @@
  * evaluation kernel and compile pipeline.
  *
  * `--json FILE` additionally runs a fixed engine matrix (reference
- * interpreter, the JIT-compiled cgen engine, IpuMachine with the
- * persistent pool and with the legacy per-cycle thread spawn,
- * ParallelInterpreter with and without native kernels at several
- * thread counts) on pico and bitcoin and writes the measured cycles/s
- * as a JSON object: git SHA + ISO timestamp metadata plus
- * {design, engine, threads, cycles_per_sec} records (the BENCH_*.json
- * trajectory format — see scripts/bench_baseline.sh). Combine with
- * --benchmark_filter=NONE to skip the google-benchmark suite and only
- * emit the matrix. PARENDI_BENCH_FAST=1 trims the measured cycle
- * counts.
+ * interpreter, the JIT-compiled cgen engine, IpuMachine at 1 and 8
+ * host threads, ParallelInterpreter with and without native kernels
+ * at several thread counts) on pico and bitcoin and writes the
+ * measured cycles/s as a JSON object: git SHA + ISO timestamp
+ * metadata plus {design, engine, threads, cycles_per_sec} records
+ * (the BENCH_*.json trajectory format — see scripts/bench_baseline.sh).
+ * Combine with --benchmark_filter=NONE to skip the google-benchmark
+ * suite and only emit the matrix. PARENDI_BENCH_FAST=1 trims the
+ * measured cycle counts.
  *
  * `--threads-sweep` widens the par and par-cgen rows to thread counts
- * 1/2/4/8 (the scaling curve for the fused-superstep engine). The
- * matrix always includes a `par-phased` row at 8 requested threads
- * with the hardware-concurrency worker clamp overridden: the PR4
- * four-barrier configuration, kept as the reference point the CI
- * scaling guard compares the fused engine against.
+ * 1/2/4/8 (the scaling curve for the fused-superstep engine).
  *
  * `--replicas-sweep` appends gang-simulation rows: the cgen engine and
  * par-cgen (4 threads) at R = 1/4/8/16 replica lanes on pico and
@@ -43,8 +38,8 @@
  *
  * Each design's interp row additionally carries checkpoint columns
  * (snapshot_bytes, raw_blob_bytes, snapshot_ratio, save_ms,
- * restore_ms): the v2 compressed snapshot against the raw v1 engine
- * blob, and the save/restore wall latency.
+ * restore_ms): the v2 compressed snapshot against the raw engine blob
+ * (SimEngine::saveState), and the save/restore wall latency.
  */
 
 #include <benchmark/benchmark.h>
@@ -194,47 +189,25 @@ BM_MachineStepMesh(benchmark::State &state)
 BENCHMARK(BM_MachineStepMesh)->Arg(2)->Arg(3);
 
 std::unique_ptr<core::Simulation>
-compileDesign(const std::string &design, uint32_t host_threads,
-              bool persistent_pool, uint32_t max_host_workers = 0)
+compileDesign(const std::string &design, uint32_t host_threads)
 {
     setQuiet(true);
     core::CompilerOptions opt;
     opt.tilesPerChip = 256;
     opt.machine.hostThreads = host_threads;
-    opt.machine.persistentPool = persistent_pool;
-    opt.machine.maxHostWorkers = max_host_workers;
     return core::compile(bench::makeDesign(design), opt);
-}
-
-std::unique_ptr<core::Simulation>
-compileBitcoin(uint32_t host_threads, bool persistent_pool)
-{
-    return compileDesign("bitcoin", host_threads, persistent_pool);
 }
 
 void
 BM_MachineStepBitcoinPool(benchmark::State &state)
 {
-    auto sim = compileBitcoin(
-        static_cast<uint32_t>(state.range(0)), true);
+    auto sim = compileDesign("bitcoin",
+                             static_cast<uint32_t>(state.range(0)));
     for (auto _ : state)
         sim->step();
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_MachineStepBitcoinPool)->Arg(1)->Arg(8);
-
-void
-BM_MachineStepBitcoinSpawn(benchmark::State &state)
-{
-    // The seed's host execution: threads spawned per compute phase,
-    // sequential exchange — the baseline the persistent pool replaces.
-    auto sim = compileBitcoin(
-        static_cast<uint32_t>(state.range(0)), false);
-    for (auto _ : state)
-        sim->step();
-    state.SetItemsProcessed(state.iterations());
-}
-BENCHMARK(BM_MachineStepBitcoinSpawn)->Arg(8);
 
 void
 BM_ParInterpBitcoin(benchmark::State &state)
@@ -337,7 +310,7 @@ attachMeasuredSplit(core::SimEngine &engine, bench::PerfRecord &rec)
 
 /**
  * Checkpoint columns for the design's interp row: the v2 compressed
- * snapshot size against the raw v1 engine blob, plus the save and
+ * snapshot size against the raw engine blob, plus the save and
  * restore wall latency (src/ckpt; see DESIGN.md "Checkpoint &
  * replay"). The CI perf smoke asserts snapshot_ratio <= 0.5.
  */
@@ -345,13 +318,13 @@ void
 attachCkptColumns(core::SimEngine &engine, bench::PerfRecord &rec)
 {
     using clock = std::chrono::steady_clock;
-    std::stringstream v2, v1;
+    std::stringstream v2, raw;
     auto t0 = clock::now();
     core::saveCheckpoint(engine, v2);
     auto t1 = clock::now();
-    core::saveCheckpointV1(engine, v1);
+    engine.saveState(raw);
     rec.snapshotBytes = v2.str().size();
-    rec.rawBlobBytes = v1.str().size();
+    rec.rawBlobBytes = raw.str().size();
     rec.saveMs =
         std::chrono::duration<double, std::milli>(t1 - t0).count();
     std::stringstream in(v2.str());
@@ -389,15 +362,8 @@ runEngineMatrixFor(const std::string &design, size_t cycles,
                  "for %s", design.c_str());
     }
     for (uint32_t threads : {1u, 8u}) {
-        auto sim = compileDesign(design, threads, true);
+        auto sim = compileDesign(design, threads);
         record("ipu", threads, sim->machine());
-    }
-    {
-        // The seed's per-cycle-spawn baseline at the same thread
-        // count, with the worker clamp overridden so the row keeps
-        // spawning eight real threads on any host.
-        auto sim = compileDesign(design, 8, false, 8);
-        record("ipu-spawn", 8, sim->machine());
     }
     const std::vector<uint32_t> par_threads = threads_sweep
         ? std::vector<uint32_t>{1, 2, 4, 8}
@@ -409,18 +375,6 @@ runEngineMatrixFor(const std::string &design, size_t cycles,
         rtl::ParallelInterpreter sim(bench::makeOptimized(design),
                                      threads);
         record("par", threads, sim);
-    }
-    {
-        // The PR4 configuration as a guard row: four-barrier phased
-        // supersteps with the worker clamp overridden, so all eight
-        // workers are real even when the host has fewer cores. The CI
-        // scaling guard asserts the fused par row beats this one.
-        rtl::ParConfig pcfg;
-        pcfg.fused = false;
-        pcfg.maxWorkers = 8;
-        rtl::ParallelInterpreter sim(bench::makeOptimized(design), 8,
-                                     rtl::LowerOptions{}, pcfg);
-        record("par-phased", 8, sim);
     }
     for (uint32_t threads : cgen_threads) {
         // Same BSP supersteps, native evaluate phase (--engine par

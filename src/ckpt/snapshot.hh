@@ -3,7 +3,7 @@
  * The v2 checkpoint format: versioned, compact, engine-portable
  * snapshots of architectural simulation state.
  *
- * A v2 stream carries the same envelope as v1 —
+ * A v2 stream carries the checkpoint envelope (core/session.hh) —
  *
  *    [8B magic "PRNDCKPT"] [u32 version = 2] [u64 netlist hash]
  *
@@ -15,7 +15,7 @@
  *    is bit-packed into one flat image holding only architectural
  *    width bits — a 33-bit register costs 33 bits per lane, not the
  *    64-bit slot word (and none of the lane-major SoA padding or
- *    combinational slots of the raw v1 engine blob).
+ *    combinational slots of the raw SimEngine::saveState blob).
  *  - Record 0 is a keyframe: the packed image itself, word-coded.
  *    Every later record is an XOR delta against the previous record's
  *    image, which is near-all-zero between nearby snapshots and

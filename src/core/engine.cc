@@ -233,7 +233,6 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
       }
       case EngineKind::Par: {
         rtl::ParConfig pcfg;
-        pcfg.fused = opt.fused;
         pcfg.batch = opt.batch;
         pcfg.pool = opt.pool;
         pcfg.replicas = replicas;
@@ -261,7 +260,6 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         copt.lower = opt.lower;
         copt.machine.lower = opt.lower;
         copt.machine.hostThreads = opt.threads;
-        copt.machine.fused = opt.fused;
         copt.machine.batch = opt.batch;
         engine = std::make_unique<CompiledIpuEngine>(
             compile(std::move(nl), copt));

@@ -234,9 +234,10 @@ class SimEngine
      * count) as a raw, headerless blob; restoreState() reads it back
      * on an engine built from the same design. Returns false when the
      * engine has no checkpoint support (the default; the event
-     * engine). Hosts should prefer core::saveCheckpoint /
-     * core::restoreCheckpoint (core/session.hh), which wrap the blob
-     * in a versioned, design-hash-stamped header.
+     * engine). Engine-layout-specific; hosts should prefer
+     * core::saveCheckpoint / core::restoreCheckpoint (core/session.hh),
+     * which write the engine-portable v2 snapshot behind a versioned,
+     * design-hash-stamped header.
      */
     virtual bool
     saveState(std::ostream &out) const
@@ -312,12 +313,9 @@ struct EngineOptions
      *  unprofiled. */
     bool profile = false;
     obs::ProfileOptions profileOpt;
-    /** Fused single-barrier supersteps for the par and ipu engines
-     *  (the default; `--fused 0` selects the 4-barrier phased path).
-     *  Bit-identical either way. */
-    bool fused = true;
-    /** Fused path: cycles per pool dispatch (`--batch N`; 0 = each
-     *  step(n) call is one batch). */
+    /** Par and ipu engines: cycles per stepped batch, one pool
+     *  dispatch each with >= 2 workers (`--batch N`; 0 = each step(n)
+     *  call is one batch). */
     size_t batch = 0;
     /** Externally owned BSP worker pool for the par engine, shared
      *  across engines (the serving layer's fair-share scheduler steps

@@ -10,32 +10,14 @@
 namespace parendi::core {
 
 void
-saveCheckpointV1(const SimEngine &engine, std::ostream &out)
-{
-    uint64_t magic = kCheckpointMagic;
-    uint32_t version = 1;
-    uint64_t hash = rtl::netlistHash(engine.netlist());
-    out.write(reinterpret_cast<const char *>(&magic), sizeof(magic));
-    out.write(reinterpret_cast<const char *>(&version),
-              sizeof(version));
-    out.write(reinterpret_cast<const char *>(&hash), sizeof(hash));
-    if (!engine.saveState(out))
-        fatal("engine %s has no checkpoint support",
-              engine.engineName());
-}
-
-void
 saveCheckpoint(const SimEngine &engine, std::ostream &out)
 {
-    // v2 when the engine has an architectural view (compact,
-    // engine-portable); the raw-blob v1 envelope otherwise.
     ArchState st;
-    if (engine.exportArch(st)) {
-        ckpt::SnapshotWriter writer(out, engine.netlist());
-        writer.write(st);
-        return;
-    }
-    saveCheckpointV1(engine, out);
+    if (!engine.exportArch(st))
+        fatal("engine %s has no checkpoint support",
+              engine.engineName());
+    ckpt::SnapshotWriter writer(out, engine.netlist());
+    writer.write(st);
 }
 
 void
@@ -43,30 +25,21 @@ restoreCheckpoint(SimEngine &engine, std::istream &in)
 {
     std::streampos start = in.tellg();
     uint64_t magic = 0;
-    in.read(reinterpret_cast<char *>(&magic), sizeof(magic));
-    if (!in || magic != kCheckpointMagic) {
-        // v0: a headerless blob (or one too short to even hold the
-        // magic — the engine's own size checks reject that). Rewind
-        // and hand the whole stream to the engine.
-        in.clear();
-        in.seekg(start);
-        if (!in)
-            fatal("checkpoint stream is not seekable; cannot fall "
-                  "back to headerless (v0) restore");
-        if (!engine.restoreState(in))
-            fatal("engine %s has no checkpoint support",
-                  engine.engineName());
-        return;
-    }
     uint32_t version = 0;
     uint64_t hash = 0;
+    in.read(reinterpret_cast<char *>(&magic), sizeof(magic));
+    if (!in || magic != kCheckpointMagic)
+        fatal("checkpoint has no PRNDCKPT envelope (a headerless v0 "
+              "engine blob?); only version %u checkpoints restore",
+              kCheckpointVersion);
     in.read(reinterpret_cast<char *>(&version), sizeof(version));
     in.read(reinterpret_cast<char *>(&hash), sizeof(hash));
     if (!in)
         fatal("checkpoint header truncated");
-    if (version == 0 || version > kCheckpointVersion)
-        fatal("checkpoint format version %u not supported (this build "
-              "reads versions 0-%u)", version, kCheckpointVersion);
+    if (version != kCheckpointVersion)
+        fatal("checkpoint format version %u not supported; only "
+              "version %u checkpoints restore", version,
+              kCheckpointVersion);
     uint64_t want = rtl::netlistHash(engine.netlist());
     if (hash != want)
         fatal("checkpoint is for a different design: blob design hash "
@@ -74,21 +47,15 @@ restoreCheckpoint(SimEngine &engine, std::istream &in)
               "restore it into a session created from the same design",
               static_cast<unsigned long long>(hash),
               static_cast<unsigned long long>(want));
-    if (version == 2) {
-        // The snapshot reader consumes the envelope itself; rewind to
-        // the stream start and hand it the whole chain (restoring the
-        // last record).
-        in.clear();
-        in.seekg(start);
-        if (!in)
-            fatal("checkpoint stream is not seekable; cannot restore "
-                  "a v2 snapshot chain");
-        ckpt::restoreSnapshotChain(in, engine);
-        return;
-    }
-    if (!engine.restoreState(in))
-        fatal("engine %s has no checkpoint support",
-              engine.engineName());
+    // The snapshot reader consumes the envelope itself; rewind to the
+    // stream start and hand it the whole chain (restoring the last
+    // record).
+    in.clear();
+    in.seekg(start);
+    if (!in)
+        fatal("checkpoint stream is not seekable; cannot restore a v2 "
+              "snapshot chain");
+    ckpt::restoreSnapshotChain(in, engine);
 }
 
 SessionHandle::SessionHandle(std::unique_ptr<SimEngine> engine,

@@ -10,25 +10,15 @@
  *
  *    [8B magic "PRNDCKPT"] [u32 version] [u64 design hash]
  *
- * so a blob restored into the wrong design — or a blob from a future
- * format — fails with a clear error instead of a word-count fatal()
- * deep inside EvalState. Three versions restore:
- *
- *  - v0: envelope-less (the pre-header format). If the first 8 bytes
- *    are not the magic, the stream is rewound and handed to the
- *    engine's raw restoreState as-is.
- *  - v1: envelope + the engine's raw, headerless state blob
- *    (SimEngine::saveState) — engine-layout-specific, so it only
- *    restores into the same engine kind at the same shard/thread
- *    configuration.
- *  - v2 (current): envelope + a bit-packed, delta-coded snapshot chain
- *    of the canonical architectural state (src/ckpt/snapshot.hh) —
- *    engine-portable (save from par@8, restore into interp) and
- *    typically a fraction of the v1 blob size.
- *
- * saveCheckpoint() writes v2 when the engine exports architectural
- * state and falls back to v1 otherwise (saveCheckpointV1 forces the
- * raw-blob format, e.g. for the cross-version compatibility tests).
+ * so a blob restored into the wrong design — or a blob from another
+ * format version — fails with a clear error instead of a word-count
+ * fatal() deep inside EvalState. The one version written and read is
+ * v2: the envelope followed by a bit-packed, delta-coded snapshot
+ * chain of the canonical architectural state (src/ckpt/snapshot.hh),
+ * engine-portable (save from par@8, restore into interp). Streams of
+ * the retired formats — headerless v0 engine blobs and v1 envelopes
+ * around a raw SimEngine::saveState blob — are rejected with an error
+ * that names what was found.
  */
 
 #ifndef PARENDI_CORE_SESSION_HH
@@ -48,29 +38,23 @@ class JournalWriter;
 
 namespace parendi::core {
 
-/** First 8 bytes of a headered checkpoint ("PRNDCKPT", little-endian
- *  u64). A v0 blob starts with a cycle count instead, which can only
- *  collide with the magic after ~5.8e18 simulated cycles. */
+/** First 8 bytes of a checkpoint ("PRNDCKPT", little-endian u64). */
 inline constexpr uint64_t kCheckpointMagic = 0x54504b43444e5250ull;
 
-/** Current envelope version. v0 is the reserved "headerless" value. */
+/** The envelope version written and accepted. */
 inline constexpr uint32_t kCheckpointVersion = 2;
 
-/** Write @p engine's state with the versioned envelope: v2 (compact
- *  architectural snapshot) when the engine supports it, v1 (raw
- *  blob) otherwise. fatal() when the engine has no checkpoint support
- *  at all (the event engine). */
+/** Write @p engine's state as a v2 checkpoint. fatal() when the
+ *  engine has no architectural view (the event engine). */
 void saveCheckpoint(const SimEngine &engine, std::ostream &out);
 
-/** Force the v1 raw-blob format (engine-layout-specific). */
-void saveCheckpointV1(const SimEngine &engine, std::ostream &out);
-
 /**
- * Restore @p engine from a checkpoint stream: verify the envelope
+ * Restore @p engine from a v2 checkpoint stream: verify the envelope
  * (magic, version, design hash against netlistHash(engine.netlist()))
- * and hand the body to the engine; envelope-less streams restore as
- * v0. fatal() with a descriptive message on any mismatch — callers
- * that must not die (the server) catch FatalError.
+ * and import the last snapshot of the chain. fatal() with a
+ * descriptive message on a missing envelope, any other version or a
+ * design mismatch — callers that must not die (the server) catch
+ * FatalError.
  */
 void restoreCheckpoint(SimEngine &engine, std::istream &in);
 
@@ -124,8 +108,7 @@ class SessionHandle
      *  With a journal attached, also records the snapshot marker
      *  replayJournal() resumes from. */
     void checkpoint(std::ostream &out);
-    /** Restore a (headered v1/v2 or headerless v0) checkpoint into
-     *  this session. */
+    /** Restore a v2 checkpoint into this session. */
     void restore(std::istream &in);
 
   private:

@@ -1,7 +1,6 @@
 #include "ipu/machine.hh"
 
 #include <algorithm>
-#include <atomic>
 #include <istream>
 #include <ostream>
 #include <map>
@@ -23,23 +22,17 @@ IpuMachine::IpuMachine(const FiberSet &fs, const Partitioning &parts,
     parts.checkComplete(fs);
     buildTiles(fs, parts);
     accountCosts(fs, parts);
-    shards.setFused(opt.fused);
     hostWorkers_ = std::min<uint32_t>(
         opt.hostThreads, static_cast<uint32_t>(tiles.size()));
     // Same worker cap as the par engine: tiles far outnumber cores
     // (thousands of shards), so host workers track the host's real
-    // parallelism, not the tile count. The legacy spawn path honors
-    // the same cap.
+    // parallelism, not the tile count.
     const uint32_t maxw = opt.maxHostWorkers
         ? opt.maxHostWorkers
         : std::max(1u, std::thread::hardware_concurrency());
     hostWorkers_ = std::min(hostWorkers_, maxw);
-    if (opt.persistentPool && hostWorkers_ >= 2)
+    if (hostWorkers_ >= 2)
         pool = std::make_unique<util::BspPool>(hostWorkers_);
-    if (pool)
-        shards.evalAll(pool.get());
-    else
-        evalAllSpawn();
 }
 
 void
@@ -190,70 +183,15 @@ IpuMachine::accountCosts(const FiberSet &fs, const Partitioning &parts)
 }
 
 void
-IpuMachine::evalAllSpawn()
-{
-    // The legacy compute phase: the BSP structure makes threading
-    // trivially safe (tiles only touch private state), but spawning
-    // fresh std::threads every phase is what the persistent pool
-    // replaces — kept as the measurable baseline.
-    if (hostWorkers_ < 2 ||
-        shards.size() < 2 * size_t{hostWorkers_}) {
-        shards.evalAll(nullptr);
-        return;
-    }
-    // When profiling, the spawned workers bypass ShardSet's
-    // per-range instrumentation, so attribute the whole phase
-    // (spawn + compute + join) to worker 0 — that is the honest
-    // accounting for this baseline anyway: spawn overhead is its cost.
-    obs::SuperstepProfiler *prof = shards.profiler();
-    bool sampled = prof && prof->sampling();
-    uint64_t t0 = sampled ? obs::tick() : 0;
-    uint32_t nthreads = hostWorkers_;
-    std::vector<std::thread> workers;
-    workers.reserve(nthreads);
-    std::atomic<size_t> next{0};
-    for (uint32_t w = 0; w < nthreads; ++w) {
-        workers.emplace_back([&]() {
-            for (;;) {
-                size_t i = next.fetch_add(1);
-                if (i >= shards.size())
-                    return;
-                shards.state(i).evalComb();
-            }
-        });
-    }
-    for (std::thread &t : workers)
-        t.join();
-    if (sampled)
-        prof->record(0, obs::Phase::Eval, t0, obs::tick());
-}
-
-void
 IpuMachine::step(size_t n)
 {
-    if (pool) {
-        // Pooled path: fused batched dispatch (or phased cycles when
-        // opt.fused is off — stepCycles falls back to stepCycle).
-        size_t done = 0;
-        while (done < n) {
-            const size_t k =
-                opt.batch ? std::min(opt.batch, n - done) : n - done;
-            shards.stepCycles(pool.get(), k);
-            done += k;
-            cycleCount += k;
-        }
-        return;
-    }
-    for (size_t i = 0; i < n; ++i) {
-        // Legacy host execution: sequential exchange phases, compute
-        // phase optionally on freshly spawned threads.
-        shards.profileCycleBegin();
-        shards.commitBroadcasts(nullptr);
-        shards.latchRegisters(nullptr);
-        shards.exchangeRegisters(nullptr);
-        evalAllSpawn();
-        shards.profileCycleEnd();
-        ++cycleCount;
+    size_t done = 0;
+    while (done < n) {
+        const size_t k =
+            opt.batch ? std::min(opt.batch, n - done) : n - done;
+        shards.stepCycles(pool.get(), k);
+        done += k;
+        cycleCount += k;
     }
 }
 
@@ -274,7 +212,7 @@ IpuMachine::enableProfiling(const obs::ProfileOptions &popt)
 void
 IpuMachine::reset()
 {
-    shards.reset(pool.get());
+    shards.reset();
     cycleCount = 0;
 }
 

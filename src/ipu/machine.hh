@@ -14,10 +14,11 @@
  *               flow from owner tiles to reader tiles
  *   barrier   : (modeled)
  *
- * The functional execution is an rtl::ShardSet (one shard per tile);
- * with hostThreads >= 2 the whole cycle — exchange phases included —
- * runs on a persistent util::BspPool whose workers realize the BSP
- * barriers on the host.
+ * The functional execution is an rtl::ShardSet (one shard per tile).
+ * With one host worker it runs the in-place sequential cycle; with
+ * hostThreads >= 2 the whole cycle — exchange phases included — runs
+ * as the fused superstep on a persistent util::BspPool whose workers
+ * realize the BSP barriers on the host.
  *
  * Performance is accounted analytically per RTL cycle from the
  * partitioning and the IpuArch cost model (t_sync + t_comm + t_comp,
@@ -74,22 +75,11 @@ struct MachineOptions
 
     /** Host worker threads for the functional execution (BSP makes
      *  this trivially safe: tiles only touch private state between
-     *  barriers). 0 = sequential execution. */
+     *  barriers). 0/1 = sequential execution. */
     uint32_t hostThreads = 0;
 
-    /** Run hostThreads on a persistent BspPool spanning all four BSP
-     *  phases of the cycle (the default). When false, the legacy
-     *  host execution is used: threads are spawned per compute phase
-     *  and the exchange phases run sequentially — kept as the A/B
-     *  baseline for bench/host_throughput. */
-    bool persistentPool = true;
-
-    /** Pooled host path: fused single-barrier supersteps (default)
-     *  vs the 4-barrier phased sequence. Bit-identical either way. */
-    bool fused = true;
-
-    /** Pooled fused path: cycles per pool dispatch (0 = each step(n)
-     *  call is one batch). */
+    /** Cycles per stepCycles call (with >= 2 workers, one pool
+     *  dispatch each); 0 = each step(n) call is one batch. */
     size_t batch = 0;
 
     /** Cap on pooled host workers; 0 = the host's hardware
@@ -179,8 +169,8 @@ class IpuMachine : public core::SimEngine
     }
 
     /** Attach an obs::SuperstepProfiler to the functional execution
-     *  (pool-driven or legacy spawn path) and register it as the
-     *  pool's barrier-wait observer. Always succeeds. */
+     *  and register it as the pool's barrier-wait observer. Always
+     *  succeeds. */
     bool enableProfiling(const obs::ProfileOptions &opt =
                              obs::ProfileOptions{}) override;
     obs::SuperstepProfiler *profiler() override
@@ -215,9 +205,6 @@ class IpuMachine : public core::SimEngine
                     const partition::Partitioning &parts);
     void accountCosts(const fiber::FiberSet &fs,
                       const partition::Partitioning &parts);
-    /** Legacy compute phase: spawn hostThreads workers for this phase
-     *  only (the persistentPool=false baseline). */
-    void evalAllSpawn();
 
     const rtl::Netlist &nl;
     IpuArch arch;
@@ -226,7 +213,7 @@ class IpuMachine : public core::SimEngine
     std::vector<Tile> tiles;
     uint32_t chipsUsed_ = 1;
     /** opt.hostThreads clamped to tiles and host concurrency (or the
-     *  explicit maxHostWorkers cap); both host paths honor it. */
+     *  explicit maxHostWorkers cap). */
     uint32_t hostWorkers_ = 0;
 
     rtl::ShardSet shards;
@@ -234,7 +221,7 @@ class IpuMachine : public core::SimEngine
     // the profiler, so the pool (destroyed first, in reverse member
     // order) must never outlive it.
     std::unique_ptr<obs::SuperstepProfiler> profiler_;
-    std::unique_ptr<util::BspPool> pool;    ///< null -> sequential/legacy
+    std::unique_ptr<util::BspPool> pool;    ///< null -> sequential
 
     CycleCosts costs;
     ExchangeTraffic traffic_;

@@ -123,7 +123,7 @@ buildReport(const SuperstepProfiler &prof)
         double work = 0;
         for (size_t p = 0; p < kWorkPhases; ++p)
             work += ticksToSeconds(a.maxTicks[p]);
-        // On the phased path the barriers serialize the phases, so
+        // On the in-place cycle the phases run back-to-back, so
         // the straggler maxima tile the span and sum below it. On the
         // fused path phases of *different* workers overlap (worker A
         // evaluates while worker B commits), so their maxima can

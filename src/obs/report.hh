@@ -43,7 +43,7 @@ struct ProfileReport
 
     /** Straggler (max-over-workers) wall per superstep, summed over
      *  sampled cycles. publishSec is the fused path's post-eval
-     *  copy-out (zero on the phased path). */
+     *  copy-out (zero on the single-worker in-place cycle). */
     double commitSec = 0;
     double latchSec = 0;
     double exchangeSec = 0;

@@ -47,6 +47,9 @@ ShardSet::ShardSet(const Netlist &nl,
     for (const EvalProgram &prog : programs_)
         states_.push_back(std::make_unique<EvalState>(prog, lanes_));
     buildExchange();
+    // Evaluate combinational logic once so outputs are observable
+    // before the first clock edge.
+    evalAll();
 }
 
 void
@@ -245,21 +248,7 @@ ShardSet::setActivity(bool on)
     return true;
 }
 
-void
-ShardSet::profileCycleBegin()
-{
-    if (prof_)
-        prof_->beginCycle();
-}
-
-void
-ShardSet::profileCycleEnd()
-{
-    if (prof_)
-        prof_->endCycle();
-}
-
-// -- BSP phases ----------------------------------------------------------
+// -- In-place phase bodies ------------------------------------------------
 
 void
 ShardSet::commitRange(size_t begin, size_t end)
@@ -537,33 +526,21 @@ ShardSet::fusedCycleRange(size_t begin, size_t end, uint32_t worker,
 }
 
 void
-ShardSet::setFused(bool on)
-{
-    if (fused_ != on)
-        pubValid_ = false;
-    fused_ = on;
-}
-
-void
 ShardSet::stepCycles(util::BspPool *pool, uint64_t n)
 {
-    if (!fused_) {
-        for (uint64_t i = 0; i < n; ++i)
-            stepCycle(pool);
-        return;
-    }
     if (n == 0)
         return;
     const uint32_t nw =
         pool && size() > 1 ? pool->threads() : 1;
     if (nw <= 1) {
         // Single worker: fusion only removes barriers, and there are
-        // none — the phased in-place cycle (direct owner-slot
-        // exchange, no publish copy-out) is strictly cheaper than the
-        // fused bodies, so use it. stepCycle invalidates pubValid_,
-        // keeping a later multi-worker fused batch coherent.
+        // none — the in-place cycle (direct owner-slot exchange, no
+        // publish copy-out) is strictly cheaper than the fused bodies.
         for (uint64_t i = 0; i < n; ++i)
-            stepCycle(pool);
+            stepCycle();
+        // In-place stepping advances state without publishing; a
+        // later fused batch must republish from live slots.
+        pubValid_ = false;
         return;
     }
     if (!pubValid_) {
@@ -596,8 +573,8 @@ ShardSet::stepCycles(util::BspPool *pool, uint64_t n)
             const uint64_t cyc = baseCycle + c;
             const bool sampled =
                 prof && (every <= 1 || cyc % every == 0);
-            if (w == 0)
-                profileCycleBegin();
+            if (w == 0 && prof)
+                prof->beginCycle();
             if (b < e)
                 fusedCycleRange(b, e, w, sampled, cyc,
                                 (basePar + static_cast<uint32_t>(c)) &
@@ -612,92 +589,55 @@ ShardSet::stepCycles(util::BspPool *pool, uint64_t n)
                 bar->observeWaitNs(static_cast<uint64_t>(
                     obs::ticksToSeconds(t1 - t0) * 1e9));
             }
-            if (w == 0)
-                profileCycleEnd();
+            if (w == 0 && prof)
+                prof->endCycle();
         }
     });
     pubRead_ = (pubRead_ + static_cast<uint32_t>(n & 1)) & 1u;
 }
 
 void
-ShardSet::runPhase(util::BspPool *pool, obs::Phase phase,
+ShardSet::runPhase(obs::Phase phase,
                    void (ShardSet::*body)(size_t, size_t))
 {
-    const bool sampled = prof_ && prof_->sampling();
-    if (!pool) {
-        if (sampled) {
-            uint64_t t0 = obs::tick();
-            (this->*body)(0, size());
-            prof_->record(0, phase, t0, obs::tick());
-        } else {
-            (this->*body)(0, size());
-        }
-        return;
-    }
-    if (sampled) {
-        pool->forEach(
-            size(),
-            [this, phase, body](uint32_t w, size_t b, size_t e) {
-                uint64_t t0 = obs::tick();
-                (this->*body)(b, e);
-                prof_->record(w, phase, t0, obs::tick());
-            });
+    if (prof_ && prof_->sampling()) {
+        uint64_t t0 = obs::tick();
+        (this->*body)(0, size());
+        prof_->record(0, phase, t0, obs::tick());
     } else {
-        pool->forEach(size(), [this, body](size_t b, size_t e) {
-            (this->*body)(b, e);
-        });
+        (this->*body)(0, size());
     }
 }
 
 void
-ShardSet::commitBroadcasts(util::BspPool *pool)
+ShardSet::evalAll()
 {
-    runPhase(pool, obs::Phase::Commit, &ShardSet::commitRange);
+    runPhase(obs::Phase::Eval, &ShardSet::evalRange);
 }
 
 void
-ShardSet::latchRegisters(util::BspPool *pool)
+ShardSet::stepCycle()
 {
-    runPhase(pool, obs::Phase::Latch, &ShardSet::latchRange);
+    // Commit must finish before the latch may overwrite cur slots a
+    // write port reads from (a port's data operand can be a RegRead),
+    // the exchange reads owner cur slots the latch writes, and
+    // evaluation reads exchanged values.
+    if (prof_)
+        prof_->beginCycle();
+    runPhase(obs::Phase::Commit, &ShardSet::commitRange);
+    runPhase(obs::Phase::Latch, &ShardSet::latchRange);
+    runPhase(obs::Phase::Exchange, &ShardSet::exchangeRange);
+    evalAll();
+    if (prof_)
+        prof_->endCycle();
 }
 
 void
-ShardSet::exchangeRegisters(util::BspPool *pool)
-{
-    runPhase(pool, obs::Phase::Exchange, &ShardSet::exchangeRange);
-}
-
-void
-ShardSet::evalAll(util::BspPool *pool)
-{
-    runPhase(pool, obs::Phase::Eval, &ShardSet::evalRange);
-}
-
-void
-ShardSet::stepCycle(util::BspPool *pool)
-{
-    // Four supersteps realize the two BSP barriers of the machine
-    // model on the host: commit must finish before the latch may
-    // overwrite cur slots a write port reads from (a port's data
-    // operand can be a RegRead), the exchange reads owner cur slots
-    // the latch writes, and evaluation reads exchanged values.
-    profileCycleBegin();
-    commitBroadcasts(pool);
-    latchRegisters(pool);
-    exchangeRegisters(pool);
-    evalAll(pool);
-    profileCycleEnd();
-    // Phased stepping advances state without publishing; a later
-    // fused batch must republish from live slots.
-    pubValid_ = false;
-}
-
-void
-ShardSet::reset(util::BspPool *pool)
+ShardSet::reset()
 {
     for (auto &st : states_)
         st->reset();
-    evalAll(pool);
+    evalAll();
     pubValid_ = false;
 }
 
@@ -999,8 +939,8 @@ ShardSet::importArch(const core::ArchState &st)
     // every combinational slot from the imported architectural state;
     // the next cycle's commit/latch then recompute deferred writes and
     // next values exactly as the exporting engine would have.
-    exchangeRegisters(nullptr);
-    evalAll(nullptr);
+    runPhase(obs::Phase::Exchange, &ShardSet::exchangeRange);
+    evalAll();
     pubValid_ = false;
 }
 

@@ -13,46 +13,52 @@
  *    port order, is re-applied to every replica of the array
  *    (differential exchange — address + data, not the whole array).
  *
- * One simulated cycle (stepCycle) is the BSP sequence
+ * One simulated cycle is the BSP sequence
  *
  *    commit broadcasts -> latch registers -> exchange registers ->
  *    evaluate combinational programs
  *
- * and every phase only writes state private to one shard, so each
- * phase parallelizes over shards on a util::BspPool with a barrier
- * between phases. The phase partitioning is chosen so the result is
- * bit-identical at any worker count:
+ * and every phase only writes state private to one shard:
  *
  *  - commit: each shard applies, in ascending global port order, the
  *    broadcasts that have a replica on it. A memory image is owned by
  *    exactly one shard, so colliding ports hit each image in port
- *    order; the owner's address/data/enable slots are read-only during
- *    the phase.
+ *    order.
  *  - latch: copies next -> cur of locally owned registers only.
  *  - exchange: sharded by *reader*: each shard copies in every foreign
- *    register it reads. Destination slots are unique per message and
- *    the owner's cur slots are stable after the latch barrier.
+ *    register it reads. Destination slots are unique per message.
  *  - evaluate: purely shard-private.
  *
- * The 4-barrier sequence is the reference semantics; the default
- * execution mode is the *fused* owner-computes superstep (stepCycles),
- * which needs one barrier per cycle. The trick is a double-buffered
- * publish area: at the end of cycle c every shard copies out, for each
- * owned register with foreign readers, the post-eval NEXT value (which
- * is exactly the post-latch value the phased exchange of cycle c+1
- * would deliver) and, for each owned write port, a pre-resolved
- * broadcast record [addr-or-skip, data words] (exactly the values the
- * phased commit of cycle c+1 would read, since nothing runs between
- * eval(c) and commit(c+1)). Cycle c+1 then serves commit and exchange
- * entirely from the stable cycle-c buffer while publishing into the
- * other one, so commit/latch/exchange/eval/publish all run
- * back-to-back per shard with no intervening barrier; a single
- * end-of-cycle barrier flips the buffers. Collision order is
- * preserved because replica application still walks ascending global
- * port order against identical records. Any out-of-band state
- * mutation (poke/reset/restore, or running phased steps in between)
- * invalidates the buffers; the next fused batch republishes from live
- * state.
+ * stepCycles() picks one of two schedules from a single observable
+ * value, the effective worker count (the pool's width when there are
+ * at least two shards, else 1):
+ *
+ *  - 1 worker: the in-place sequential cycle — the four phases run
+ *    back-to-back over all shards, the exchange copying straight out
+ *    of owner cur slots. No barriers exist to remove, so this is the
+ *    cheapest form.
+ *  - >= 2 workers: the fused owner-computes superstep, one barrier per
+ *    cycle and one pool dispatch per batch. The trick is a
+ *    double-buffered publish area: at the end of cycle c every shard
+ *    copies out, for each owned register with foreign readers, the
+ *    post-eval NEXT value (exactly the post-latch value the exchange
+ *    of cycle c+1 delivers) and, for each owned write port, a
+ *    pre-resolved broadcast record [addr-or-skip, data words] (exactly
+ *    the values the commit of cycle c+1 reads, since nothing runs
+ *    between eval(c) and commit(c+1)). Cycle c+1 then serves commit
+ *    and exchange entirely from the stable cycle-c buffer while
+ *    publishing into the other one, so commit/latch/exchange/eval/
+ *    publish run back-to-back per shard; a single end-of-cycle barrier
+ *    flips the buffers. Collision order is preserved because replica
+ *    application still walks ascending global port order against
+ *    identical records.
+ *
+ * Both schedules are bit-identical at any worker count and batch size.
+ * Every other entry point — construction, reset, poke, restore,
+ * importArch — runs sequentially on the calling thread and invalidates
+ * the publish buffers; the next fused batch republishes from live
+ * state. That also keeps a pool shared across ShardSets free for
+ * whichever set is stepping.
  */
 
 #ifndef PARENDI_RTL_SHARD_HH
@@ -106,7 +112,7 @@ class ShardSet
         /// Publish-buffer offset of this port's resolved record:
         /// [lanes addrs (each addr or kPubSkip), entryWords * lanes
         /// data words in the state's lane-major order].
-        uint32_t pubOffset;
+        uint32_t pubOffset = 0;
         /// (shard, program-local memory index) of every replica.
         std::vector<std::pair<uint32_t, uint32_t>> replicas;
     };
@@ -145,32 +151,17 @@ class ShardSet
     /** Replica lanes every shard state steps per cycle (1 = scalar). */
     uint32_t lanes() const { return lanes_; }
 
-    // -- BSP execution (pool == nullptr -> sequential) -------------------
-
-    /** Full cycle: commit -> latch -> exchange -> evaluate. Always
-     *  runs the phased (4-barrier) sequence regardless of setFused —
-     *  the reference semantics, and the phased A/B path. */
-    void stepCycle(util::BspPool *pool);
+    // -- BSP execution ---------------------------------------------------
 
     /**
-     * Run @p n cycles. In fused mode (the default) the whole batch is
-     * one pool dispatch: every worker executes its shards'
-     * commit/latch/exchange/eval/publish back-to-back each cycle and
-     * cycles are separated by a single in-dispatch SpinBarrier — one
-     * barrier per cycle instead of four arrival+release pairs, and
-     * one pool epoch per *batch* instead of four per cycle. In phased
-     * mode — or with a single effective worker, where fusion has no
-     * barriers to remove and the in-place phased cycle is cheaper
-     * than publishing — this is just n calls to stepCycle.
-     * Bit-identical to the phased path at any worker count and batch
-     * size.
+     * Run @p n cycles. With one effective worker (@p pool null or one
+     * thread wide, or a single shard) this is the in-place sequential
+     * cycle n times. Otherwise the whole batch is one pool dispatch:
+     * every worker executes its shards' commit/latch/exchange/eval/
+     * publish back-to-back each cycle and cycles are separated by a
+     * single in-dispatch SpinBarrier.
      */
     void stepCycles(util::BspPool *pool, uint64_t n);
-
-    /** Select fused (single-barrier, default) vs phased execution for
-     *  stepCycles. */
-    void setFused(bool on);
-    bool fused() const { return fused_; }
 
     /**
      * Enable activity-guarded evaluation on every shard state: eval
@@ -179,38 +170,26 @@ class ShardSet
      * (received register values are compared before being copied) and
      * commit broadcasts. Returns false — and leaves the always-eval
      * path in place — if any shard program lacks an activity plan.
-     * Bit-identical to always-eval in both phased and fused modes.
+     * Bit-identical to always-eval on both schedules.
      */
     bool setActivity(bool on);
     bool activityEnabled() const { return activity_; }
 
-    /** The individual phases, for hosts with bespoke compute phases. */
-    void commitBroadcasts(util::BspPool *pool);
-    void latchRegisters(util::BspPool *pool);
-    void exchangeRegisters(util::BspPool *pool);
-    void evalAll(util::BspPool *pool);
-
     /** Restore initial images and re-evaluate all shards. */
-    void reset(util::BspPool *pool);
+    void reset();
 
     // -- Telemetry (obs) -------------------------------------------------
 
     /**
      * Attach (or detach, with nullptr) a superstep profiler. Every
-     * stepCycle() then counts into it and, on sampled cycles,
-     * timestamps the four supersteps per worker and the eval duration
-     * per shard. The profiler must be sized for at least as many
-     * workers as the pool passed to the step calls and for size()
-     * shards, and must outlive this attachment.
+     * stepped cycle then counts into it and, on sampled cycles,
+     * timestamps the phases per worker and the eval duration per
+     * shard. The profiler must be sized for at least as many workers
+     * as the pool passed to stepCycles and for size() shards, and must
+     * outlive this attachment.
      */
     void setProfiler(obs::SuperstepProfiler *prof);
     obs::SuperstepProfiler *profiler() const { return prof_; }
-
-    /** Open/close one profiled cycle around individually driven
-     *  phases (stepCycle does this itself; hosts with bespoke phase
-     *  sequences — the legacy spawn path — call these around theirs). */
-    void profileCycleBegin();
-    void profileCycleEnd();
 
     // -- Name-based host access ------------------------------------------
 
@@ -255,9 +234,8 @@ class ShardSet
      * Write an architectural state into the shards: owner register
      * slots, every memory replica and every input replica slot, then
      * one exchange + combinational re-evaluation so reader copies and
-     * comb slots match the exporter's at-rest state exactly. Runs
-     * sequentially (see the shared-pool contract). fatal() on a shape
-     * or width mismatch.
+     * comb slots match the exporter's at-rest state exactly. fatal()
+     * on a shape or width mismatch.
      */
     void importArch(const core::ArchState &st);
 
@@ -289,15 +267,19 @@ class ShardSet
     };
 
     void buildExchange();
+
+    // In-place sequential cycle: the four phases over all shards, each
+    // timestamped as worker 0 when the profiler samples the cycle.
+    void stepCycle();
+    void runPhase(obs::Phase phase,
+                  void (ShardSet::*body)(size_t, size_t));
     void commitRange(size_t begin, size_t end);
     void latchRange(size_t begin, size_t end);
     void exchangeRange(size_t begin, size_t end);
     void evalRange(size_t begin, size_t end);
     void evalRangeImpl(size_t begin, size_t end, bool sampled);
-    /** Dispatch one superstep over the pool (or sequentially),
-     *  timestamping per worker when the profiler samples this cycle. */
-    void runPhase(util::BspPool *pool, obs::Phase phase,
-                  void (ShardSet::*body)(size_t, size_t));
+    /** Sequential combinational re-evaluation of every shard. */
+    void evalAll();
 
     // Fused-path bodies. @p parity selects the read buffer; the
     // complementary buffer is written.
@@ -311,7 +293,7 @@ class ShardSet
                          uint32_t parity);
     /** (Re)publish every shard's state into the buffer the next fused
      *  cycle reads — the out-of-band path after construction, poke,
-     *  reset, restore, or any phased stepping. */
+     *  reset, restore, or in-place stepping. */
     void publishAll();
 
     obs::SuperstepProfiler *prof_ = nullptr;
@@ -344,7 +326,6 @@ class ShardSet
     std::vector<uint64_t> pub_[2];
     uint32_t pubRead_ = 0;
     bool pubValid_ = false;
-    bool fused_ = true;
     /// in-dispatch barrier for batched fused cycles (sized lazily to
     /// the pool's worker count)
     std::unique_ptr<util::SpinBarrier> inner_;

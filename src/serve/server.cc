@@ -51,7 +51,8 @@ Server::~Server()
 void
 Server::start()
 {
-    acceptThread_ = std::thread([this] { acceptLoop(); });
+    acceptThread_ =
+        std::thread([this, fd = listenFd_] { acceptLoop(fd); });
 }
 
 void
@@ -76,20 +77,24 @@ Server::stop()
         if (stopped_)
             return;
         stopped_ = true;
-        // Closing the listener unblocks accept(); shutting down the
-        // connection fds unblocks any recvFrame mid-read.
-        if (listenFd_ >= 0) {
-            ::shutdown(listenFd_, SHUT_RDWR);
-            ::close(listenFd_);
-            listenFd_ = -1;
-        }
+        // Shutting down the listener unblocks accept(); shutting down
+        // the connection fds unblocks any recvFrame mid-read.
+        ::shutdown(listenFd_, SHUT_RDWR);
         for (int fd : connFds_)
             ::shutdown(fd, SHUT_RDWR);
-        threads.swap(connThreads_);
     }
     shutdownCv_.notify_all();
+    // The listener is closed only once the accept thread is gone: a
+    // closed descriptor number can be reused by the OS while accept()
+    // still holds it. The accept thread registers no connection after
+    // seeing stopped_, so connThreads_ is complete once it has joined.
     if (acceptThread_.joinable())
         acceptThread_.join();
+    ::close(listenFd_);
+    {
+        std::lock_guard<std::mutex> lk(mutex_);
+        threads.swap(connThreads_);
+    }
     for (auto &t : threads)
         t.join();
 }
@@ -102,14 +107,14 @@ Server::shutdownRequested() const
 }
 
 void
-Server::acceptLoop()
+Server::acceptLoop(int listenFd)
 {
     for (;;) {
-        int fd = ::accept(listenFd_, nullptr, nullptr);
+        int fd = ::accept(listenFd, nullptr, nullptr);
         if (fd < 0) {
             if (errno == EINTR)
                 continue;
-            return;     // listener closed by stop()
+            return;     // listener shut down by stop()
         }
         int one = 1;
         ::setsockopt(fd, IPPROTO_TCP, TCP_NODELAY, &one, sizeof(one));

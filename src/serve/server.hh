@@ -50,7 +50,9 @@ class Server
     bool shutdownRequested() const;
 
   private:
-    void acceptLoop();
+    /** Accept on @p listenFd (the listener as of start(); stop()
+     *  closes it only after this loop has returned). */
+    void acceptLoop(int listenFd);
     void handleConnection(int fd);
     /** Decode one request, run it against the manager, encode the
      *  response. Never throws. A Shutdown request sets
@@ -61,7 +63,7 @@ class Server
                               bool *shutdownAfter);
 
     SessionManager &manager_;
-    int listenFd_ = -1;
+    int listenFd_ = -1;     ///< open from construction until stop()
     uint16_t port_ = 0;
 
     mutable std::mutex mutex_;

@@ -14,10 +14,7 @@
  *     --threads N       host worker threads for ipu/par engines
  *     --cgen            JIT-compile shard programs to native kernels
  *                       (par engine; cgen engine implies it)
- *     --fused 0|1       fused single-barrier supersteps for the
- *                       par/ipu host paths (default 1; 0 = the
- *                       4-barrier phased A/B path)
- *     --batch N         fused path: cycles per pool dispatch
+ *     --batch N         par/ipu engines: cycles per pool dispatch
  *                       (default 0 = one batch per step call)
  *     --replicas N      gang simulation: step N independent replicas
  *                       of the design in lock-step (SoA lanes; interp,
@@ -56,7 +53,7 @@
  *     --save-every N    with --save: snapshot every N cycles into one
  *                       delta-coded chain (record 0 is the pre-run
  *                       state)
- *     --restore FILE    restore a checkpoint (v0/v1/v2) before the run
+ *     --restore FILE    restore a (v2) checkpoint before the run
  *     --restore-at K    with --restore: restore snapshot record K of a
  *                       v2 chain instead of the last
  *     --journal FILE    record the run's stimulus (steps, snapshot
@@ -156,7 +153,6 @@ struct Args
     bool checksum = false;
     bool reportOnly = false;
     bool cgen = false;
-    bool fused = true;
     uint64_t batch = 0;
     uint32_t replicas = 1;
     bool activity = true;
@@ -184,7 +180,7 @@ usage()
                  "[--no-diff]\n"
                  "               [--vcd FILE] [--wave FILE] [--report] "
                  "[--peek NAME]...\n"
-                 "               [--fused 0|1] [--batch N] "
+                 "               [--batch N] "
                  "[--replicas N] [--activity 0|1]\n"
                  "               [--cost-profile FILE] [--rebalance R]\n"
                  "               [--save FILE] [--save-every N] "
@@ -251,8 +247,6 @@ parseArgs(int argc, char **argv)
             a.reportOnly = true;
         else if (arg == "--cgen")
             a.cgen = true;
-        else if (arg == "--fused")
-            a.fused = std::stoul(value()) != 0;
         else if (arg == "--batch")
             a.batch = std::stoull(value());
         else if (arg == "--replicas")
@@ -450,7 +444,6 @@ main(int argc, char **argv)
             opt.optimize = args.optimize;
             opt.machine.differentialExchange = args.diffExchange;
             opt.machine.hostThreads = args.threads;
-            opt.machine.fused = args.fused;
             opt.machine.batch = args.batch;
             if (args.hyper)
                 opt.single = partition::SingleChipStrategy::Hypergraph;
@@ -496,7 +489,6 @@ main(int argc, char **argv)
             eopt.kind = kind;
             eopt.threads = args.threads;
             eopt.cgen = args.cgen;
-            eopt.fused = args.fused;
             eopt.batch = args.batch;
             eopt.replicas = args.replicas;
             eopt.profile = args.profile;
@@ -518,8 +510,8 @@ main(int argc, char **argv)
         // Restore before the run (the run continues from the
         // snapshot). --restore-at and --replay walk the v2 snapshot
         // chain directly — replay needs to know which snapshot marker
-        // to resume from; the plain path accepts any format (v0/v1/v2)
-        // through the versioned envelope dispatch.
+        // to resume from; the plain path goes through the versioned
+        // envelope check.
         int64_t restoredSeq = -1;
         if (!args.restorePath.empty()) {
             std::ifstream in(args.restorePath, std::ios::binary);

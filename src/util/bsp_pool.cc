@@ -193,43 +193,4 @@ BspPool::run(const std::function<void(uint32_t)> &job)
         obs->epochWaitEnd(0);
 }
 
-void
-BspPool::forEach(size_t n,
-                 const std::function<void(size_t, size_t)> &body)
-{
-    if (n == 0)
-        return;
-    if (workers_.empty() || n == 1) {
-        body(0, n);
-        return;
-    }
-    const size_t chunk = (n + nthreads_ - 1) / nthreads_;
-    run([&](uint32_t w) {
-        size_t begin = std::min(n, w * chunk);
-        size_t end = std::min(n, begin + chunk);
-        if (begin < end)
-            body(begin, end);
-    });
-}
-
-void
-BspPool::forEach(size_t n,
-                 const std::function<void(uint32_t, size_t, size_t)>
-                     &body)
-{
-    if (n == 0)
-        return;
-    if (workers_.empty() || n == 1) {
-        body(0, 0, n);
-        return;
-    }
-    const size_t chunk = (n + nthreads_ - 1) / nthreads_;
-    run([&](uint32_t w) {
-        size_t begin = std::min(n, w * chunk);
-        size_t end = std::min(n, begin + chunk);
-        if (begin < end)
-            body(w, begin, end);
-    });
-}
-
 } // namespace parendi::util

@@ -136,22 +136,6 @@ class BspPool
     void run(const std::function<void(uint32_t worker)> &job);
 
     /**
-     * Static parallel-for: split [0, n) into one contiguous range per
-     * worker and run body(begin, end) on each. The static split keeps
-     * the work assignment (and therefore any write interleaving within
-     * a range) deterministic across runs and thread counts.
-     */
-    void forEach(size_t n,
-                 const std::function<void(size_t begin, size_t end)> &body);
-
-    /** forEach variant that also passes the executing worker's index
-     *  (the instrumentation hook point: profilers attribute each range
-     *  to the worker that ran it). */
-    void forEach(size_t n,
-                 const std::function<void(uint32_t worker, size_t begin,
-                                          size_t end)> &body);
-
-    /**
      * Install (or clear, with nullptr) the barrier-wait observer. Must
      * be called while the pool is idle (no run() in flight); the
      * observer must outlive the pool or be cleared before destruction.

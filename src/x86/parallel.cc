@@ -71,7 +71,7 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
                                          const LowerOptions &lower,
                                          const ParConfig &cfg)
     : nl_(std::move(netlist)), batch_(cfg.batch), lower_(lower),
-      rebalance_(cfg.rebalance), fusedWanted_(cfg.fused)
+      rebalance_(cfg.rebalance)
 {
     fiber::FiberSet fs(nl_);
     // The shard count adapts to the host's real parallelism (unless
@@ -134,7 +134,6 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
                 partition::sortedUnion(nodeSets[s], fibers_[fi].cone);
 
     shards_ = ShardSet(nl_, nodeSets, lower, cfg.replicas);
-    shards_.setFused(cfg.fused);
     if (cfg.pool) {
         pool_ = cfg.pool;
         poolShared_ = true;
@@ -144,10 +143,6 @@ ParallelInterpreter::ParallelInterpreter(Netlist netlist,
         if (threads >= 2 && shards_.size() >= 2 && workers >= 2)
             pool_ = std::make_unique<util::BspPool>(workers);
     }
-    // Evaluate combinational logic once so outputs are observable
-    // before the first clock edge. (Sequentially under a shared pool
-    // — a sibling engine may be mid-step on it.)
-    shards_.evalAll(controlPool());
 }
 
 void
@@ -157,7 +152,7 @@ ParallelInterpreter::step(size_t n)
     while (done < n) {
         const size_t k =
             batch_ ? std::min(batch_, n - done) : n - done;
-        shards_.stepCycles(stepPool(), k);
+        shards_.stepCycles(pool_.get(), k);
         done += k;
         cycleCount_ += k;
         // Telemetry-directed repartitioning fires between batches
@@ -171,7 +166,7 @@ ParallelInterpreter::step(size_t n)
 void
 ParallelInterpreter::reset()
 {
-    shards_.reset(controlPool());
+    shards_.reset();
     cycleCount_ = 0;
 }
 
@@ -373,7 +368,6 @@ ParallelInterpreter::rebuildShards(
                 partition::sortedUnion(nodeSets[s], fibers_[fi].cone);
 
     shards_ = ShardSet(nl_, nodeSets, lower_, st.lanes);
-    shards_.setFused(fusedWanted_);
     if (wantNative_) {
         size_t attached = cgenAttachShards(shards_, cgenOpt_);
         native_ = attached == shards_.size() && attached > 0;
@@ -382,8 +376,8 @@ ParallelInterpreter::rebuildShards(
         shards_.setProfiler(profiler_.get());
     if (activityWanted_)
         shards_.setActivity(true);
-    // importArch re-runs exchange + eval sequentially, so the rebuilt
-    // set continues bit-identically (and, with activity on, marks
+    // importArch re-runs exchange + eval, so the rebuilt set
+    // continues bit-identically (and, with activity on, marks
     // everything dirty for the first guarded eval).
     shards_.importArch(st);
     assignment_ = assign;

@@ -33,11 +33,8 @@ namespace parendi::rtl {
 /** Execution knobs of the parallel host engine. */
 struct ParConfig
 {
-    /** Fused single-barrier supersteps (default) vs the 4-barrier
-     *  phased reference sequence. Bit-identical either way. */
-    bool fused = true;
-    /** Cycles per pool dispatch in fused mode: step(n) is split into
-     *  batches of this many cycles, each one pool epoch with the
+    /** Cycles per stepped batch: step(n) is split into batches of this
+     *  many cycles, each (with >= 2 workers) one pool epoch with the
      *  in-dispatch barrier between cycles. 0 = the whole step(n) call
      *  is one batch. */
     size_t batch = 0;
@@ -58,11 +55,11 @@ struct ParConfig
      * When set, the engine never creates its own pool and the shard
      * count adapts to the pool's width. Sharing contract: a BspPool
      * dispatch has exactly one caller, so hosts must serialize step()
-     * calls across every engine on the pool (the scheduler thread);
-     * to keep the pool free for whichever engine is stepping, all
-     * *other* entry points of a shared-pool engine (construction,
-     * reset(), restore()) run their re-evaluations sequentially, and
-     * enableProfiling() does not install a pool wait observer.
+     * calls across every engine on the pool (the scheduler thread).
+     * step() is the only entry point that dispatches on the pool —
+     * construction, reset(), restore() and importArch() run on the
+     * calling thread — and enableProfiling() does not install a pool
+     * wait observer on a shared pool.
      */
     std::shared_ptr<util::BspPool> pool;
     /** Gang simulation: replica lanes per shard state, stepped in
@@ -81,8 +78,8 @@ struct ParConfig
      * batch, when the profiled per-shard eval-tick skew (max/mean over
      * the window since the last check) exceeds this ratio, re-run LPT
      * on the measured costs and migrate the architectural state onto
-     * the new packing. Needs an attached profiler and batched fused
-     * stepping to fire. 0 = off.
+     * the new packing. Needs an attached profiler and batched stepping
+     * to fire. 0 = off.
      */
     double rebalance = 0.0;
 };
@@ -211,8 +208,7 @@ class ParallelInterpreter : public core::SimEngine
         return true;
     }
 
-    /** Canonical architectural state (see SimEngine / src/ckpt).
-     *  Import runs sequentially (shared-pool contract). */
+    /** Canonical architectural state (see SimEngine / src/ckpt). */
     bool
     exportArch(core::ArchState &out) const override
     {
@@ -238,8 +234,6 @@ class ParallelInterpreter : public core::SimEngine
     {
         return pool_ ? pool_->threads() : 1;
     }
-
-    bool fused() const { return shards_.fused(); }
 
   private:
     /** One fiber's partitioning summary, kept after construction so
@@ -273,16 +267,6 @@ class ParallelInterpreter : public core::SimEngine
     /** The automatic between-batch check (ParConfig::rebalance). */
     void maybeRebalance();
 
-    /** The pool step() dispatches on (null = sequential). */
-    util::BspPool *stepPool() const { return pool_.get(); }
-    /** The pool for non-step re-evaluations: null when the pool is
-     *  shared, so control ops never race a sibling engine's step. */
-    util::BspPool *
-    controlPool() const
-    {
-        return poolShared_ ? nullptr : pool_.get();
-    }
-
     Netlist nl_;
     ShardSet shards_;
     size_t batch_ = 0;
@@ -292,7 +276,6 @@ class ParallelInterpreter : public core::SimEngine
     std::vector<std::vector<uint32_t>> assignment_;  ///< fibers per shard
     LowerOptions lower_;
     double rebalance_ = 0.0;
-    bool fusedWanted_ = true;
     bool activityWanted_ = false;
     bool wantNative_ = false;       ///< re-attach kernels on rebuild
     CgenOptions cgenOpt_;

@@ -142,21 +142,26 @@ TEST(CheckpointEnvelope, HeaderedRoundTrip)
     EXPECT_EQ(sim.peek("tx_total"), later);
 }
 
-TEST(CheckpointEnvelope, AcceptsHeaderlessV0Blob)
+TEST(CheckpointEnvelope, RejectsHeaderlessV0Blob)
 {
-    // A raw engine blob (the pre-envelope format) restores through
-    // restoreCheckpoint via the rewind fallback.
+    // A raw engine blob (the retired pre-envelope format) is rejected
+    // with an error naming what was found; the target is untouched.
     Interpreter a(designs::makeSr(2));
     a.step(55);
     std::stringstream raw;
     a.save(raw);
 
     Interpreter b(designs::makeSr(2));
-    core::restoreCheckpoint(b, raw);
-    EXPECT_EQ(b.cycles(), 55u);
-    a.step(20);
-    b.step(20);
-    EXPECT_EQ(a.peek("tx_total"), b.peek("tx_total"));
+    b.step(3);
+    try {
+        core::restoreCheckpoint(b, raw);
+        FAIL() << "headerless blob must be rejected";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find("no PRNDCKPT envelope"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_EQ(b.cycles(), 3u);
 }
 
 TEST(CheckpointEnvelope, RejectsWrongDesignWithClearError)

@@ -12,6 +12,7 @@
 #include <memory>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "ckpt/bitstream.hh"
@@ -271,15 +272,15 @@ TEST(Snapshot, GangLanesRoundTrip)
 
 TEST(Snapshot, CompressedSmallerThanRawBlob)
 {
-    // Acceptance: a v2 snapshot is at most half the raw v1 engine
-    // blob on pico.
+    // Acceptance: a v2 snapshot is at most half the raw engine blob
+    // (SimEngine::saveState) on pico.
     Interpreter sim(designs::makePico(designs::defaultCoreConfig()));
     sim.step(500);
-    std::stringstream v1, v2;
-    core::saveCheckpointV1(sim, v1);
+    std::stringstream raw, v2;
+    ASSERT_TRUE(sim.saveState(raw));
     core::saveCheckpoint(sim, v2);
-    EXPECT_LE(v2.str().size() * 2, v1.str().size())
-        << "v2 " << v2.str().size() << "B vs v1 " << v1.str().size()
+    EXPECT_LE(v2.str().size() * 2, raw.str().size())
+        << "v2 " << v2.str().size() << "B vs raw " << raw.str().size()
         << "B";
 }
 
@@ -333,19 +334,26 @@ TEST(Snapshot, RejectsCorruptTruncatedAndReordered)
 
 // ---- Cross-version compatibility ---------------------------------------
 
-TEST(CrossVersion, V0V1V2AllRestore)
+TEST(CrossVersion, OnlyV2Restores)
 {
     Netlist nl = designs::makeSr(2);
     Interpreter src(nl);
     src.step(80);
     std::string digest = regsDigest(src);
 
+    // v0: the headerless raw blob. v1: the envelope around it.
     std::stringstream v0, v1, v2;
-    src.save(v0); // headerless raw blob
-    core::saveCheckpointV1(src, v1);
+    src.save(v0);
+    uint64_t magic = core::kCheckpointMagic;
+    uint32_t one = 1;
+    uint64_t hash = rtl::netlistHash(nl);
+    v1.write(reinterpret_cast<const char *>(&magic), sizeof(magic));
+    v1.write(reinterpret_cast<const char *>(&one), sizeof(one));
+    v1.write(reinterpret_cast<const char *>(&hash), sizeof(hash));
+    src.save(v1);
     core::saveCheckpoint(src, v2);
 
-    // v2 is the current default writer.
+    // v2 is the writer's only format.
     {
         std::string blob = v2.str();
         uint32_t ver = 0;
@@ -354,13 +362,27 @@ TEST(CrossVersion, V0V1V2AllRestore)
         EXPECT_EQ(ver, 2u);
     }
 
-    for (std::stringstream *snap : {&v0, &v1, &v2}) {
+    // The retired formats fail naming what they are.
+    for (auto [snap, what] :
+         {std::pair{&v0, "no PRNDCKPT envelope"},
+          std::pair{&v1, "version 1"}}) {
         Interpreter dst(nl);
-        core::restoreCheckpoint(dst, *snap);
-        EXPECT_EQ(dst.cycles(), 80u);
-        EXPECT_EQ(regsDigest(dst), digest);
-        dst.step(25);
+        try {
+            core::restoreCheckpoint(dst, *snap);
+            FAIL() << what << ": must be rejected";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(what),
+                      std::string::npos)
+                << e.what();
+        }
+        EXPECT_EQ(dst.cycles(), 0u);
     }
+
+    Interpreter dst(nl);
+    core::restoreCheckpoint(dst, v2);
+    EXPECT_EQ(dst.cycles(), 80u);
+    EXPECT_EQ(regsDigest(dst), digest);
+    dst.step(25);
 }
 
 // ---- Journal & deterministic replay -------------------------------------

@@ -321,18 +321,3 @@ TEST(Machine, ThreadedHostExecutionIsIdentical)
     auto sim = compile(std::move(nl), opt);
     expectEquivalent(*sim, ref, 80, 40);
 }
-
-TEST(Machine, SpawnModeHostExecutionIsIdentical)
-{
-    // The legacy per-cycle thread-spawn path (persistentPool=false)
-    // must stay bit-identical too: it is the A/B baseline the
-    // persistent pool is benchmarked against.
-    Netlist nl = makeSr(2);
-    Interpreter ref(nl);
-    CompilerOptions opt = smallMachine(1, 64);
-    opt.machine.hostThreads = 4;
-    opt.machine.maxHostWorkers = 4;
-    opt.machine.persistentPool = false;
-    auto sim = compile(std::move(nl), opt);
-    expectEquivalent(*sim, ref, 80, 40);
-}

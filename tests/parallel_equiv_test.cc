@@ -1,9 +1,10 @@
 /**
  * @file
  * Multithreaded differential fuzz for the BSP host runtime: the
- * persistent-pool IpuMachine and the ParallelInterpreter must be
- * bit-identical to the reference interpreter at every tested thread
- * count, over random netlists whose colliding write ports make any
+ * IpuMachine and the ParallelInterpreter must be bit-identical to the
+ * reference interpreter at every tested thread count (the in-place
+ * cycle at one worker, the fused superstep at two or more), over
+ * random netlists whose colliding write ports make any
  * ordering bug in the parallel commit phase observable. Also checks
  * the host-facing extras (poke, reset, checkpoint) of the new engine
  * and the BspPool itself.
@@ -11,6 +12,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <sstream>
 #include <thread>
@@ -112,58 +114,49 @@ TEST_P(ParallelEquiv, PooledMachineMatchesReference)
     }
 }
 
-TEST_P(ParallelEquiv, FusedMatchesPhasedAcrossBatchShapes)
+TEST_P(ParallelEquiv, FusedMatchesReferenceAcrossBatchShapes)
 {
-    // The fused single-barrier superstep must stay bit-identical to
-    // the 4-barrier phased sequence over colliding write ports, odd
-    // and even batch lengths (the publish-buffer parity flips), and
-    // mid-run reset and checkpoint intrusions (which invalidate the
-    // publish buffers).
+    // The fused single-barrier superstep (threads >= 2) and the
+    // in-place cycle (threads = 1) must stay bit-identical to the
+    // reference interpreter over colliding write ports, odd and even
+    // batch lengths (the publish-buffer parity flips), and mid-run
+    // reset and checkpoint intrusions (which invalidate the publish
+    // buffers).
     uint64_t seed = GetParam();
     Netlist nl = randomNetlist(seed, collidingConfig());
     for (uint32_t threads : {1u, 2u, 8u}) {
         Interpreter ref(nl);
-        rtl::ParConfig fcfg;
-        fcfg.maxWorkers = threads;
-        fcfg.batch = 3; // step(n) splits into odd-length batches
         rtl::ParConfig pcfg;
-        pcfg.fused = false;
         pcfg.maxWorkers = threads;
-        ParallelInterpreter fused(nl, threads, rtl::LowerOptions{},
-                                  fcfg);
-        ParallelInterpreter phased(nl, threads, rtl::LowerOptions{},
-                                   pcfg);
-        ASSERT_TRUE(fused.fused());
-        ASSERT_FALSE(phased.fused());
+        pcfg.batch = 3; // step(n) splits into odd-length batches
+        ParallelInterpreter par(nl, threads, rtl::LowerOptions{}, pcfg);
+        // Pinned: 2 and 8 threads really run the fused superstep.
+        ASSERT_EQ(par.numWorkers(),
+                  std::min(threads,
+                           static_cast<uint32_t>(par.numShards())));
 
         for (size_t batch : {size_t{1}, size_t{3}, size_t{16}}) {
             ref.step(batch);
-            fused.step(batch);
-            phased.step(batch);
-            compareAllState(fused, ref, "fused");
-            compareAllState(phased, ref, "phased");
+            par.step(batch);
+            compareAllState(par, ref, "par");
         }
 
         // Checkpoint round-trip mid-run: restore must re-publish
         // before the next fused batch.
         std::stringstream snap;
-        fused.save(snap);
-        fused.step(5);
-        fused.restore(snap);
+        par.save(snap);
+        par.step(5);
+        par.restore(snap);
         ref.step(5);
-        fused.step(5);
-        phased.step(5);
-        compareAllState(fused, ref, "fused after restore");
+        par.step(5);
+        compareAllState(par, ref, "par after restore");
 
         // Reset mid-run, then another odd/even batch mix.
         ref.reset();
-        fused.reset();
-        phased.reset();
+        par.reset();
         ref.step(7);
-        fused.step(7);
-        phased.step(7);
-        compareAllState(fused, ref, "fused after reset");
-        compareAllState(phased, ref, "phased after reset");
+        par.step(7);
+        compareAllState(par, ref, "par after reset");
     }
 }
 
@@ -234,24 +227,6 @@ TEST(ParallelEquiv, EngineFactoryBuildsEveryKind)
         }
     }
     EXPECT_THROW(core::parseEngineKind("verilator"), FatalError);
-}
-
-TEST(BspPool, ForEachCoversEveryIndexExactlyOnce)
-{
-    for (uint32_t threads : {1u, 2u, 3u, 8u}) {
-        util::BspPool pool(threads);
-        for (size_t n : {size_t{0}, size_t{1}, size_t{5}, size_t{64}}) {
-            std::vector<std::atomic<uint32_t>> hits(n);
-            pool.forEach(n, [&](size_t b, size_t e) {
-                for (size_t i = b; i < e; ++i)
-                    hits[i].fetch_add(1);
-            });
-            for (size_t i = 0; i < n; ++i)
-                ASSERT_EQ(hits[i].load(), 1u)
-                    << "threads=" << threads << " n=" << n
-                    << " i=" << i;
-        }
-    }
 }
 
 TEST(BspPool, ManySuperstepsKeepWorkersInLockstep)

@@ -172,6 +172,18 @@ TEST(Serve, CheckpointRestoreOverTheWire)
     EXPECT_NE(fx.client.lastError().find("different design"),
               std::string::npos);
     EXPECT_TRUE(fx.client.step(other, 5));
+
+    // So is a headerless raw engine blob of the right design: the
+    // server never hands unenveloped bytes to an engine decoder.
+    rtl::Interpreter local(resolveTestDesign("counter"));
+    std::stringstream raw;
+    local.save(raw);
+    EXPECT_FALSE(fx.client.restore(other, raw.str()));
+    EXPECT_NE(fx.client.lastError().find("no PRNDCKPT envelope"),
+              std::string::npos)
+        << fx.client.lastError();
+    EXPECT_TRUE(fx.client.step(other, 5, &cycles));
+    EXPECT_EQ(cycles, 10u);
 }
 
 TEST(Serve, MultiSessionDifferential)
@@ -203,7 +215,9 @@ TEST(Serve, MultiSessionDifferential)
     }
 
     std::vector<std::thread> drivers;
-    std::vector<bool> ok(K, false);
+    // One byte per client thread: vector<bool> packs flags into
+    // shared words, so threads setting their own flag would race.
+    std::vector<char> ok(K, 0);
     for (size_t i = 0; i < K; ++i) {
         drivers.emplace_back([&, i] {
             serve::Client c;
@@ -217,7 +231,7 @@ TEST(Serve, MultiSessionDifferential)
                     return;
                 done += n;
             }
-            ok[i] = true;
+            ok[i] = 1;
         });
     }
     for (auto &t : drivers)
@@ -369,4 +383,29 @@ TEST(Serve, ShutdownReleasesServeForever)
     EXPECT_TRUE(client.shutdownServer());
     host.join();
     EXPECT_TRUE(server.shutdownRequested());
+}
+
+TEST(Serve, StartStopRepeatedly)
+{
+    // stop() shuts the listener down, joins the accept thread and only
+    // then closes the descriptor, so accept() never runs on a closed
+    // (or reused) fd number. Exercised with and without an idle
+    // connected client.
+    serve::ManagerOptions mopt;
+    mopt.poolThreads = 2;
+    mopt.resolveDesign = resolveTestDesign;
+    serve::SessionManager manager(std::move(mopt));
+    for (bool withClient : {false, true}) {
+        for (int round = 0; round < 50; ++round) {
+            serve::Server server(manager, 0);
+            server.start();
+            serve::Client client;
+            if (withClient) {
+                ASSERT_TRUE(client.connect(server.port()))
+                    << "round " << round;
+            }
+            server.stop();
+            EXPECT_FALSE(server.shutdownRequested());
+        }
+    }
 }

@@ -233,21 +233,3 @@ TEST(BspPool, WaitObserverFastPathStillPairs)
     EXPECT_EQ(obs.begins[0].load(), 0u);
     EXPECT_EQ(obs.ends[0].load(), 0u);
 }
-
-TEST(BspPool, ForEachReportsWorkerAndCoversRange)
-{
-    constexpr uint32_t kWorkers = 3;
-    util::BspPool pool(kWorkers);
-    constexpr size_t kN = 20;
-    std::atomic<uint32_t> covered[kN] = {};
-    std::atomic<uint32_t> bad_worker{0};
-    pool.forEach(kN, [&](uint32_t worker, size_t begin, size_t end) {
-        if (worker >= kWorkers)
-            bad_worker.fetch_add(1);
-        for (size_t i = begin; i < end; ++i)
-            covered[i].fetch_add(1);
-    });
-    EXPECT_EQ(bad_worker.load(), 0u);
-    for (size_t i = 0; i < kN; ++i)
-        EXPECT_EQ(covered[i].load(), 1u) << "index " << i;
-}
