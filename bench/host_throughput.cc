@@ -152,11 +152,13 @@ BM_TracedInterpBitcoin(benchmark::State &state)
 {
     // Steady-state VCD sampling is allocation-free: EngineTracer keeps
     // one scratch BitVec per traced signal and refills it in place via
-    // peekInto(), so the per-cycle delta over BM_InterpBitcoin is pure
-    // compare-and-format — no malloc on this path.
+    // the engine's read primitives, so the per-cycle delta over
+    // BM_InterpBitcoin is pure compare-and-format — no malloc on this
+    // path.
     rtl::Interpreter sim(designs::makeBitcoin({2, 16}));
     std::ofstream null("/dev/null");
-    rtl::EngineTracer tracer(sim, null);
+    rtl::VcdWriter vcd(null);
+    rtl::EngineTracer tracer(sim, vcd);
     for (auto _ : state)
         tracer.step();
     state.SetItemsProcessed(state.iterations());

@@ -16,6 +16,7 @@
 
 #include "core/compiler.hh"
 #include "frontend/verilog.hh"
+#include "rtl/interp.hh"
 #include "rtl/vcd.hh"
 
 using namespace parendi;
@@ -72,8 +73,9 @@ main(int argc, char **argv)
     // Waveform of the first 32 cycles via the golden interpreter.
     {
         rtl::Interpreter tracer_sim(nl);
-        std::ofstream vcd("checksum.vcd");
-        rtl::InterpreterTracer tracer(tracer_sim, vcd);
+        std::ofstream vcdOut("checksum.vcd");
+        rtl::VcdWriter vcd(vcdOut);
+        rtl::EngineTracer tracer(tracer_sim, vcd);
         tracer.step(32);
         std::printf("wrote checksum.vcd (32 cycles of every "
                     "register)\n");

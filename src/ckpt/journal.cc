@@ -124,11 +124,8 @@ replayJournal(std::istream &in, core::SimEngine &engine,
                 fatal("journal: truncated poke record");
             if (skipping)
                 break;
-            rtl::BitVec v(width, std::move(words));
-            if (lane == kAllLanes)
-                engine.poke(name, v);
-            else
-                engine.pokeLane(name, v, lane);
+            engine.pokeLane(name, rtl::BitVec(width, std::move(words)),
+                            lane);
             ++applied;
             break;
         }

@@ -45,9 +45,6 @@ namespace parendi::ckpt {
 /** The journal stream version this module reads and writes. */
 inline constexpr uint32_t kJournalVersion = 1;
 
-/** Lane value recording a broadcast poke (SimEngine::poke). */
-inline constexpr uint32_t kAllLanes = UINT32_MAX;
-
 /** Append stimulus records to a stream (envelope written at
  *  construction). Hosts call record*() alongside the corresponding
  *  engine calls; see core::SessionHandle::attachJournal for the
@@ -58,7 +55,7 @@ class JournalWriter
     JournalWriter(std::ostream &out, const rtl::Netlist &nl);
 
     void recordPoke(const std::string &input, const rtl::BitVec &value,
-                    uint32_t lane = kAllLanes);
+                    uint32_t lane = core::kAllLanes);
     void recordStep(uint64_t n);
     void recordReset();
 

@@ -184,9 +184,7 @@ uint64_t
 archStateFnv(const core::SimEngine &engine)
 {
     core::ArchState st;
-    if (!engine.exportArch(st))
-        fatal("engine %s has no architectural state export",
-              engine.engineName());
+    engine.exportArch(st);
     PackedImage img = packArchState(st);
     uint64_t h = img.fnv();
     return fnv1a(&st.cycles, sizeof st.cycles, h);
@@ -204,10 +202,7 @@ void
 SnapshotWriter::write(const core::SimEngine &engine)
 {
     core::ArchState st;
-    if (!engine.exportArch(st))
-        fatal("engine %s has no architectural state export; "
-              "cannot write a v2 snapshot",
-              engine.engineName());
+    engine.exportArch(st);
     write(st);
 }
 
@@ -348,10 +343,7 @@ restoreSnapshotChain(std::istream &in, core::SimEngine &engine,
               "holds only %llu records",
               static_cast<long long>(upTo),
               static_cast<unsigned long long>(applied));
-    if (!engine.importArch(st))
-        fatal("engine %s has no architectural state import; "
-              "cannot restore a v2 snapshot",
-              engine.engineName());
+    engine.importArch(st);
     return applied;
 }
 

@@ -85,7 +85,7 @@ class SnapshotWriter
   public:
     SnapshotWriter(std::ostream &out, const rtl::Netlist &nl);
 
-    /** Snapshot @p engine (exportArch; fatal() when unsupported). */
+    /** Snapshot @p engine (exportArch). */
     void write(const core::SimEngine &engine);
 
     /** Append one record holding @p st. */
@@ -127,8 +127,7 @@ class SnapshotReader
  * Restore @p engine from a v2 snapshot stream positioned at the
  * envelope: walk the chain up to record @p upTo (0-based; -1 = the
  * last record) and import that state. Returns the number of records
- * applied; fatal() on corruption, design mismatch, an empty chain, or
- * an engine without architectural import.
+ * applied; fatal() on corruption, design mismatch or an empty chain.
  */
 uint64_t restoreSnapshotChain(std::istream &in, core::SimEngine &engine,
                               int64_t upTo = -1);

@@ -135,43 +135,6 @@ WaveWriter::sample(uint64_t time, const std::vector<rtl::BitVec> &values)
     first_ = false;
 }
 
-WaveTracer::WaveTracer(core::SimEngine &sim, std::ostream &out)
-    : sim_(sim), writer_(out)
-{
-    const rtl::Netlist &nl = sim_.netlist();
-    for (rtl::RegId r = 0; r < nl.numRegisters(); ++r) {
-        regNames_.push_back(nl.reg(r).name);
-        writer_.addSignal(nl.reg(r).name, nl.reg(r).width);
-    }
-    for (rtl::PortId o = 0; o < nl.numOutputs(); ++o) {
-        outNames_.push_back(nl.output(o).name);
-        writer_.addSignal(nl.output(o).name, nl.output(o).width);
-    }
-    writer_.writeHeader(nl.name(), rtl::netlistHash(nl));
-    values_.resize(regNames_.size() + outNames_.size());
-    sampleNow(); // time 0: initial values
-}
-
-void
-WaveTracer::sampleNow()
-{
-    size_t i = 0;
-    for (const std::string &r : regNames_)
-        sim_.peekRegisterInto(r, values_[i++]);
-    for (const std::string &o : outNames_)
-        sim_.peekInto(o, values_[i++]);
-    writer_.sample(sim_.cycles(), values_);
-}
-
-void
-WaveTracer::step(size_t n)
-{
-    for (size_t i = 0; i < n; ++i) {
-        sim_.step();
-        sampleNow();
-    }
-}
-
 uint64_t
 waveToVcd(std::istream &in, std::ostream &out)
 {
@@ -199,7 +162,7 @@ waveToVcd(std::istream &in, std::ostream &out)
         in.read(name.data(), len);
         if (!in.good())
             fatal("wave: truncated signal table");
-        vcd.addSignal(name, static_cast<uint16_t>(width));
+        vcd.addSignal(name, width);
         widths.push_back(width);
         values.emplace_back(width, uint64_t{0});
     }

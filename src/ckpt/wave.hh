@@ -46,8 +46,8 @@
 #include <string>
 #include <vector>
 
-#include "core/engine.hh"
 #include "rtl/bitvec.hh"
+#include "rtl/vcd.hh"
 
 namespace parendi::ckpt {
 
@@ -55,23 +55,22 @@ namespace parendi::ckpt {
 inline constexpr uint32_t kWaveVersion = 1;
 
 /** Low-level compressed-waveform emitter over an arbitrary signal
- *  list (the bit-coded sibling of rtl::VcdWriter). */
-class WaveWriter
+ *  list (the bit-coded sibling of rtl::VcdWriter); rtl::EngineTracer
+ *  drives it for `--wave`. */
+class WaveWriter : public rtl::TraceSink
 {
   public:
     explicit WaveWriter(std::ostream &out);
 
-    /** Declare a signal before writeHeader(); returns its index. */
-    size_t addSignal(const std::string &name, uint32_t width);
+    size_t addSignal(const std::string &name, uint32_t width) override;
 
-    /** Emit the stream header. @p designHash stamps the stream with
-     *  rtl::netlistHash of the traced design. */
-    void writeHeader(const std::string &design, uint64_t designHash);
+    /** Emit the stream header, stamped with @p designHash. */
+    void writeHeader(const std::string &design,
+                     uint64_t designHash) override;
 
-    /** Record one timestep; @p values aligned with the declared
-     *  signals. Only changes are coded (all signals at the first
-     *  sample); a change-free sample writes nothing. */
-    void sample(uint64_t time, const std::vector<rtl::BitVec> &values);
+    /** A change-free sample writes nothing. */
+    void sample(uint64_t time,
+                const std::vector<rtl::BitVec> &values) override;
 
     size_t numSignals() const { return signals_.size(); }
 
@@ -88,27 +87,6 @@ class WaveWriter
     uint64_t lastTime_ = 0;
     bool headerDone_ = false;
     bool first_ = true;
-};
-
-/** Trace all registers and outputs of @p sim each cycle into a
- *  compressed wave stream — the drop-in sibling of rtl::EngineTracer
- *  (same signals, same sample times, one sample at construction). */
-class WaveTracer
-{
-  public:
-    WaveTracer(core::SimEngine &sim, std::ostream &out);
-
-    /** Step the engine and record one sample per cycle. */
-    void step(size_t n = 1);
-
-  private:
-    void sampleNow();
-
-    core::SimEngine &sim_;
-    WaveWriter writer_;
-    std::vector<std::string> regNames_;
-    std::vector<std::string> outNames_;
-    std::vector<rtl::BitVec> values_;
 };
 
 /**

@@ -7,7 +7,6 @@
 #include "core/compiler.hh"
 #include "obs/costprofile.hh"
 #include "rtl/cgen.hh"
-#include "rtl/event.hh"
 #include "rtl/interp.hh"
 #include "util/logging.hh"
 #include "x86/parallel.hh"
@@ -19,8 +18,6 @@ tryParseEngineKind(const std::string &name, EngineKind &kind)
 {
     if (name == "interp")
         kind = EngineKind::Interp;
-    else if (name == "event")
-        kind = EngineKind::Event;
     else if (name == "ipu")
         kind = EngineKind::Ipu;
     else if (name == "par")
@@ -37,7 +34,7 @@ parseEngineKind(const std::string &name)
 {
     EngineKind kind;
     if (!tryParseEngineKind(name, kind))
-        fatal("unknown engine '%s' (expected interp|event|ipu|par|cgen)",
+        fatal("unknown engine '%s' (expected interp|ipu|par|cgen)",
               name.c_str());
     return kind;
 }
@@ -66,50 +63,33 @@ class CompiledIpuEngine : public SimEngine
     void reset() override { sim_->machine().reset(); }
     uint64_t cycles() const override { return sim_->machine().cycles(); }
     void
-    poke(const std::string &input, const rtl::BitVec &value) override
+    pokeInput(rtl::PortId port, const rtl::BitVec &value,
+              uint32_t lane) override
     {
-        sim_->machine().poke(input, value);
+        sim_->machine().pokeInput(port, value, lane);
     }
     void
-    poke(const std::string &input, uint64_t value) override
+    readOutput(rtl::PortId port, uint32_t lane,
+               rtl::BitVec &out) const override
     {
-        sim_->machine().poke(input, value);
-    }
-    rtl::BitVec
-    peek(const std::string &output) const override
-    {
-        return sim_->machine().peek(output);
-    }
-    rtl::BitVec
-    peekRegister(const std::string &reg) const override
-    {
-        return sim_->machine().peekRegister(reg);
-    }
-    rtl::BitVec
-    peekMemory(const std::string &mem, uint64_t index) const override
-    {
-        return sim_->machine().peekMemory(mem, index);
+        sim_->machine().readOutput(port, lane, out);
     }
     void
-    peekInto(const std::string &output, rtl::BitVec &out) const override
+    readRegister(rtl::RegId reg, uint32_t lane,
+                 rtl::BitVec &out) const override
     {
-        sim_->machine().peekInto(output, out);
+        sim_->machine().readRegister(reg, lane, out);
     }
     void
-    peekRegisterInto(const std::string &reg,
-                     rtl::BitVec &out) const override
+    readMemory(rtl::MemId mem, uint64_t index, uint32_t lane,
+               rtl::BitVec &out) const override
     {
-        sim_->machine().peekRegisterInto(reg, out);
+        sim_->machine().readMemory(mem, index, lane, out);
     }
     bool
     saveState(std::ostream &out) const override
     {
         return sim_->machine().saveState(out);
-    }
-    bool
-    restoreState(std::istream &in) override
-    {
-        return sim_->machine().restoreState(in);
     }
     bool
     exportArch(ArchState &out) const override
@@ -206,10 +186,9 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         warn("native kernels (--cgen) only apply to the par and cgen "
              "engines; ignoring");
     uint32_t replicas = opt.replicas ? opt.replicas : 1;
-    if (replicas > 1 &&
-        (opt.kind == EngineKind::Event || opt.kind == EngineKind::Ipu)) {
+    if (replicas > 1 && opt.kind == EngineKind::Ipu) {
         warn("gang simulation (--replicas) is not supported by the "
-             "event and ipu engines; running a single replica");
+             "ipu engine; running a single replica");
         replicas = 1;
     }
     maybeWarnGangCacheCliff(nl, replicas);
@@ -218,10 +197,6 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
       case EngineKind::Interp:
         engine = std::make_unique<rtl::Interpreter>(std::move(nl),
                                                     opt.lower, replicas);
-        break;
-      case EngineKind::Event:
-        engine = std::make_unique<rtl::EventInterpreter>(std::move(nl),
-                                                         opt.lower);
         break;
       case EngineKind::Cgen: {
         rtl::CgenOptions ccfg;
@@ -270,8 +245,8 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         panic("unhandled engine kind");
     // Activity-guarded eval (default on; --activity 0 is the
     // always-eval A/B baseline). Engines without a guarded path —
-    // event, ipu, or a program whose activity plan could not be
-    // built — return false and keep running always-eval.
+    // ipu, or a program whose activity plan could not be built —
+    // return false and keep running always-eval.
     if (opt.activity)
         engine->setActivity(true);
     // Telemetry-directed repartitioning reads the profiler's

@@ -1,19 +1,19 @@
 /**
  * @file
  * SimEngine: the uniform host-facing surface of every functional RTL
- * engine in the tree — the reference interpreter, the event-driven
- * interpreter, the simulated IPU machine, and the parallel host
- * interpreter. Test harnesses, the VCD tracer, and the CLI driver
- * operate on this interface so any engine can be swapped in; the
- * engines are bit-identical by construction (they all execute lowered
- * EvalPrograms of the same netlist), so "same stimulus in, same values
- * out" holds across the whole matrix.
+ * engine in the tree — the reference interpreter, the simulated IPU
+ * machine, the parallel host interpreter, native codegen, and the
+ * event-driven test witness. Test harnesses, the waveform tracer, and
+ * the CLI driver operate on this interface so any engine can be
+ * swapped in; the engines are bit-identical by construction (they all
+ * execute lowered EvalPrograms of the same netlist), so "same stimulus
+ * in, same values out" holds across the whole matrix.
  *
- * This header is intentionally free of any core-library dependency
- * (everything is inline) so the rtl/ipu/x86 libraries can implement
- * the interface without linking parendi_core. The makeEngine factory,
- * which needs the whole compiler, lives in engine.cc inside
- * parendi_core.
+ * This header is free of any core-library dependency so the
+ * rtl/ipu/x86 libraries can implement the interface without linking
+ * parendi_core: the shared name-based access layer is defined in
+ * rtl/access.cc inside parendi_rtl. The makeEngine factory, which
+ * needs the whole compiler, lives in engine.cc inside parendi_core.
  */
 
 #ifndef PARENDI_CORE_ENGINE_HH
@@ -66,12 +66,18 @@ struct ArchState
     std::vector<std::vector<rtl::BitVec>> inputs;
 };
 
+/** Lane value addressing every replica lane at once: a poke with it
+ *  broadcasts (SimEngine::poke). Journals record it for broadcast
+ *  pokes (ckpt/journal.hh). */
+inline constexpr uint32_t kAllLanes = UINT32_MAX;
+
 class SimEngine
 {
   public:
     virtual ~SimEngine() = default;
 
-    /** Stable identifier ("interp", "event", "ipu", "par", "cgen"). */
+    /** Stable identifier ("interp", "ipu", "par", "cgen"; "event" for
+     *  the event-driven test witness, which makeEngine never builds). */
     virtual const char *engineName() const = 0;
 
     /** The design this engine simulates. */
@@ -86,94 +92,84 @@ class SimEngine
     /** Cycles simulated since construction/reset. */
     virtual uint64_t cycles() const = 0;
 
-    /** Drive an input port; combinationally visible immediately. */
-    virtual void poke(const std::string &input,
-                      const rtl::BitVec &value) = 0;
-    virtual void poke(const std::string &input, uint64_t value) = 0;
-
-    /** Sample an output port. */
-    virtual rtl::BitVec peek(const std::string &output) const = 0;
-
-    /** Read a register's current value by name. */
-    virtual rtl::BitVec peekRegister(const std::string &reg) const = 0;
-
-    /** Read one memory entry by memory name. */
-    virtual rtl::BitVec peekMemory(const std::string &mem,
-                                   uint64_t index) const = 0;
-
-    // -- Gang simulation (replica lanes) --------------------------------
-    //
-    // Engines built with EngineOptions::replicas = R > 1 step R
-    // independent instances of the design in lock-step (one instruction
-    // stream, R SoA lanes). The scalar poke/peek API keeps working on a
-    // gang engine with broadcast/lane-0 semantics: poke drives every
-    // lane (so identical stimuli reproduce the scalar run bit-for-bit
-    // in all lanes), peek reads lane 0. The lane-indexed calls below
-    // give each lane its own stimuli and observation; the defaults
-    // forward to the scalar API so single-replica engines need no
-    // changes.
-
     /** Number of replica lanes this engine steps per cycle (1 unless
-     *  built as a gang). */
+     *  built as a gang: EngineOptions::replicas = R > 1 steps R
+     *  independent instances of the design in lock-step). */
     virtual uint32_t replicas() const { return 1; }
 
-    /** Drive an input port of one lane only. */
-    virtual void
-    pokeLane(const std::string &input, const rtl::BitVec &value,
-             uint32_t lane)
-    {
-        (void)lane;
-        poke(input, value);
-    }
-    virtual void
-    pokeLane(const std::string &input, uint64_t value, uint32_t lane)
-    {
-        (void)lane;
-        poke(input, value);
-    }
+    // -- Host access ----------------------------------------------------
+    //
+    // One layer for every engine. Each call resolves the name against
+    // netlist(), checks the value width and the lane (lane <
+    // replicas(); pokes also accept kAllLanes), and only then calls one
+    // of the four id-indexed primitives below. An unknown name, a width
+    // mismatch, an out-of-range lane or memory index is a FatalError
+    // whose message is the same on every engine. Scalar pokes broadcast
+    // to every lane (identical stimuli reproduce the scalar run in all
+    // lanes); scalar peeks read lane 0.
 
-    /** Sample an output port of one lane. */
-    virtual rtl::BitVec
-    peekLane(const std::string &output, uint32_t lane) const
+    /** Drive an input port; combinationally visible immediately. */
+    void poke(const std::string &input, const rtl::BitVec &value)
     {
-        (void)lane;
-        return peek(output);
+        pokeLane(input, value, kAllLanes);
     }
+    void poke(const std::string &input, uint64_t value)
+    {
+        pokeLane(input, value, kAllLanes);
+    }
+    /** Drive an input port of one lane (or of all, with kAllLanes). */
+    void pokeLane(const std::string &input, const rtl::BitVec &value,
+                  uint32_t lane);
+    void pokeLane(const std::string &input, uint64_t value,
+                  uint32_t lane);
 
-    /** Read a register's current value in one lane. */
-    virtual rtl::BitVec
-    peekRegisterLane(const std::string &reg, uint32_t lane) const
+    /** Sample an output port. */
+    rtl::BitVec peek(const std::string &output) const
     {
-        (void)lane;
-        return peekRegister(reg);
+        return peekLane(output, 0);
     }
+    rtl::BitVec peekLane(const std::string &output, uint32_t lane) const;
 
-    /** Read one memory entry in one lane. */
-    virtual rtl::BitVec
-    peekMemoryLane(const std::string &mem, uint64_t index,
-                   uint32_t lane) const
+    /** Read a register's current value by name. */
+    rtl::BitVec peekRegister(const std::string &reg) const
     {
-        (void)lane;
-        return peekMemory(mem, index);
+        return peekRegisterLane(reg, 0);
     }
+    rtl::BitVec peekRegisterLane(const std::string &reg,
+                                 uint32_t lane) const;
 
-    /**
-     * peek()/peekRegister() into a caller-owned BitVec. Engines with
-     * direct slot access override these to reuse @p out's buffer (the
-     * allocation-free sampling path of the VCD tracer); the default
-     * just forwards to the allocating peek.
-     */
-    virtual void
-    peekInto(const std::string &output, rtl::BitVec &out) const
+    /** Read one memory entry by memory name. */
+    rtl::BitVec peekMemory(const std::string &mem, uint64_t index) const
     {
-        out = peek(output);
+        return peekMemoryLane(mem, index, 0);
     }
+    rtl::BitVec peekMemoryLane(const std::string &mem, uint64_t index,
+                               uint32_t lane) const;
 
-    virtual void
-    peekRegisterInto(const std::string &reg, rtl::BitVec &out) const
-    {
-        out = peekRegister(reg);
-    }
+    /** peek()/peekRegister() into a caller-owned BitVec, reusing its
+     *  buffer. */
+    void peekInto(const std::string &output, rtl::BitVec &out) const;
+    void peekRegisterInto(const std::string &reg, rtl::BitVec &out) const;
+
+    // -- Id-indexed access primitives -------------------------------------
+    //
+    // What each engine implements. Callers pass valid ids, a width-
+    // matched value and a valid lane (the name-based layer above checks
+    // all three); the read primitives refill @p out in place, so a
+    // caller that resolves ids once samples without allocating (the
+    // waveform tracer).
+
+    /** Write @p value into input @p port of @p lane (every lane with
+     *  kAllLanes) and re-evaluate combinational logic once. */
+    virtual void pokeInput(rtl::PortId port, const rtl::BitVec &value,
+                           uint32_t lane) = 0;
+    virtual void readOutput(rtl::PortId port, uint32_t lane,
+                            rtl::BitVec &out) const = 0;
+    virtual void readRegister(rtl::RegId reg, uint32_t lane,
+                              rtl::BitVec &out) const = 0;
+    /** @p index < the memory's depth. */
+    virtual void readMemory(rtl::MemId mem, uint64_t index, uint32_t lane,
+                            rtl::BitVec &out) const = 0;
 
     /**
      * Attach a runtime telemetry profiler (obs::SuperstepProfiler) to
@@ -231,13 +227,12 @@ class SimEngine
 
     /**
      * Serialize all mutable simulation state (including the cycle
-     * count) as a raw, headerless blob; restoreState() reads it back
-     * on an engine built from the same design. Returns false when the
-     * engine has no checkpoint support (the default; the event
-     * engine). Engine-layout-specific; hosts should prefer
-     * core::saveCheckpoint / core::restoreCheckpoint (core/session.hh),
-     * which write the engine-portable v2 snapshot behind a versioned,
-     * design-hash-stamped header.
+     * count) as a raw, engine-layout-specific blob — the size
+     * baseline the compact checkpoint formats are measured against.
+     * Returns false when the engine has no raw form (the default; the
+     * event engine). Hosts checkpoint with core::saveCheckpoint /
+     * core::restoreCheckpoint (core/session.hh), the engine-portable
+     * v2 snapshot behind a versioned, design-hash-stamped header.
      */
     virtual bool
     saveState(std::ostream &out) const
@@ -246,52 +241,34 @@ class SimEngine
         return false;
     }
 
-    virtual bool
-    restoreState(std::istream &in)
-    {
-        (void)in;
-        return false;
-    }
-
     /**
-     * Export the canonical architectural state (see ArchState) —
-     * the engine-portable alternative to saveState's raw blob, and
-     * what the v2 checkpoint format (src/ckpt) serializes. Returns
-     * false when the engine has no architectural view (the default;
-     * the event engine).
+     * Export the canonical architectural state (see ArchState) — what
+     * the v2 checkpoint format (src/ckpt) serializes. Always returns
+     * true (every engine has an architectural view; the return value
+     * is kept for existing callers).
      */
-    virtual bool
-    exportArch(ArchState &out) const
-    {
-        (void)out;
-        return false;
-    }
+    virtual bool exportArch(ArchState &out) const = 0;
 
     /**
      * Import an architectural state exported by any engine of the
      * same design (and, for gang engines, the same lane count):
      * restores registers, memories, inputs and the cycle count, then
      * re-evaluates combinational logic, so the continuation is
-     * bit-identical to the exporting engine's. Returns false when
-     * unsupported; fatal() on a shape mismatch.
+     * bit-identical to the exporting engine's. Always returns true;
+     * fatal() on a shape mismatch.
      */
-    virtual bool
-    importArch(const ArchState &st)
-    {
-        (void)st;
-        return false;
-    }
+    virtual bool importArch(const ArchState &st) = 0;
 };
 
 /** Which engine makeEngine() instantiates. */
-enum class EngineKind { Interp, Event, Ipu, Par, Cgen };
+enum class EngineKind { Interp, Ipu, Par, Cgen };
 
-/** Parse "interp" / "event" / "ipu" / "par" / "cgen" into @p kind;
+/** Parse "interp" / "ipu" / "par" / "cgen" into @p kind;
  *  false on an unknown name. The non-throwing form servers use to
  *  reject a bad create-session request without killing the process. */
 bool tryParseEngineKind(const std::string &name, EngineKind &kind);
 
-/** Parse "interp" / "event" / "ipu" / "par" / "cgen"; fatal()
+/** Parse "interp" / "ipu" / "par" / "cgen"; fatal()
  *  otherwise (the CLI path, where a bad name should end the run). */
 EngineKind parseEngineKind(const std::string &name);
 
@@ -299,12 +276,12 @@ struct EngineOptions
 {
     EngineKind kind = EngineKind::Ipu;
     /** Host worker threads for the ipu and par engines (0/1 =
-     *  sequential). Ignored by interp and event. */
+     *  sequential). Ignored by interp and cgen. */
     uint32_t threads = 0;
     /** Program lowering applied to whichever engine is built. */
     rtl::LowerOptions lower;
     /** Attach native codegen kernels (rtl/cgen) to the par engine's
-     *  shards. The cgen engine implies this; ipu/interp/event ignore
+     *  shards. The cgen engine implies this; ipu/interp ignore
      *  it. No-op (with a warning) when no toolchain is available. */
     bool cgen = false;
     /** Enable runtime telemetry (SimEngine::enableProfiling) on the
@@ -328,13 +305,13 @@ struct EngineOptions
     rtl::ArtifactCache *artifacts = nullptr;
     /** Gang simulation: replica lanes stepped in lock-step per cycle
      *  (`--replicas N`). Supported by the interp, cgen and par engines
-     *  (lanes compose with par threads); event and ipu warn and run a
+     *  (lanes compose with par threads); ipu warns and runs a
      *  single replica. 1 = scalar. */
     uint32_t replicas = 1;
     /** Activity-guarded evaluation (`--activity`; default on): skip
      *  combinational groups whose inputs are unchanged. `--activity 0`
      *  is the always-eval A/B baseline. Engines without a guarded path
-     *  (event, ipu) silently run always-eval. */
+     *  (ipu) silently run always-eval. */
     bool activity = true;
     /** Load measured per-fiber costs from this file (see
      *  obs::CostProfile) and let the par engine's LPT partition use

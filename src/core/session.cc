@@ -12,12 +12,8 @@ namespace parendi::core {
 void
 saveCheckpoint(const SimEngine &engine, std::ostream &out)
 {
-    ArchState st;
-    if (!engine.exportArch(st))
-        fatal("engine %s has no checkpoint support",
-              engine.engineName());
     ckpt::SnapshotWriter writer(out, engine.netlist());
-    writer.write(st);
+    writer.write(engine);
 }
 
 void
@@ -107,12 +103,6 @@ SessionHandle::checkpoint(std::ostream &out)
     if (journal_)
         journal_->recordSnapshot(checkpoints_, engine_->cycles());
     ++checkpoints_;
-}
-
-void
-SessionHandle::restore(std::istream &in)
-{
-    restoreCheckpoint(*engine_, in);
 }
 
 } // namespace parendi::core

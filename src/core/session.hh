@@ -44,8 +44,7 @@ inline constexpr uint64_t kCheckpointMagic = 0x54504b43444e5250ull;
 /** The envelope version written and accepted. */
 inline constexpr uint32_t kCheckpointVersion = 2;
 
-/** Write @p engine's state as a v2 checkpoint. fatal() when the
- *  engine has no architectural view (the event engine). */
+/** Write @p engine's state as a v2 checkpoint. */
 void saveCheckpoint(const SimEngine &engine, std::ostream &out);
 
 /**
@@ -106,10 +105,9 @@ class SessionHandle
 
     /** Headered checkpoint of this session (see saveCheckpoint).
      *  With a journal attached, also records the snapshot marker
-     *  replayJournal() resumes from. */
+     *  replayJournal() resumes from. Restore with
+     *  restoreCheckpoint(engine(), in). */
     void checkpoint(std::ostream &out);
-    /** Restore a v2 checkpoint into this session. */
-    void restore(std::istream &in);
 
   private:
     std::unique_ptr<SimEngine> engine_;

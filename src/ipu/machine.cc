@@ -1,7 +1,6 @@
 #include "ipu/machine.hh"
 
 #include <algorithm>
-#include <istream>
 #include <ostream>
 #include <map>
 #include <thread>
@@ -217,61 +216,11 @@ IpuMachine::reset()
 }
 
 void
-IpuMachine::poke(const std::string &input, const BitVec &value)
-{
-    shards.poke(input, value);
-}
-
-void
-IpuMachine::poke(const std::string &input, uint64_t value)
-{
-    shards.poke(input, value);
-}
-
-BitVec
-IpuMachine::peek(const std::string &output) const
-{
-    return shards.peek(output);
-}
-
-BitVec
-IpuMachine::peekRegister(const std::string &reg) const
-{
-    return shards.peekRegister(reg);
-}
-
-BitVec
-IpuMachine::peekMemory(const std::string &mem, uint64_t index) const
-{
-    return shards.peekMemory(mem, index);
-}
-
-void
-IpuMachine::peekInto(const std::string &output, BitVec &out) const
-{
-    shards.peekInto(output, out);
-}
-
-void
-IpuMachine::peekRegisterInto(const std::string &reg, BitVec &out) const
-{
-    shards.peekRegisterInto(reg, out);
-}
-
-void
 IpuMachine::save(std::ostream &out) const
 {
     out.write(reinterpret_cast<const char *>(&cycleCount),
               sizeof(cycleCount));
     shards.save(out);
-}
-
-void
-IpuMachine::restore(std::istream &in)
-{
-    in.read(reinterpret_cast<char *>(&cycleCount),
-            sizeof(cycleCount));
-    shards.restore(in);
 }
 
 } // namespace parendi::ipu

@@ -32,7 +32,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "core/engine.hh"
@@ -119,36 +118,40 @@ class IpuMachine : public core::SimEngine
     void reset() override;
     uint64_t cycles() const override { return cycleCount; }
 
-    void poke(const std::string &input,
-              const rtl::BitVec &value) override;
-    void poke(const std::string &input, uint64_t value) override;
-    rtl::BitVec peek(const std::string &output) const override;
-    rtl::BitVec peekRegister(const std::string &reg) const override;
-    /** Read one entry of a memory (from any replica; the
-     *  differential exchange keeps them identical). */
-    rtl::BitVec peekMemory(const std::string &mem,
-                           uint64_t index) const override;
-    void peekInto(const std::string &output,
-                  rtl::BitVec &out) const override;
-    void peekRegisterInto(const std::string &reg,
-                          rtl::BitVec &out) const override;
+    // Host access (see SimEngine); forwards to the shard set.
+    void
+    pokeInput(rtl::PortId port, const rtl::BitVec &value,
+              uint32_t lane) override
+    {
+        shards.pokeInput(port, value, lane);
+    }
+    void
+    readOutput(rtl::PortId port, uint32_t lane,
+               rtl::BitVec &out) const override
+    {
+        shards.readOutput(port, lane, out);
+    }
+    void
+    readRegister(rtl::RegId reg, uint32_t lane,
+                 rtl::BitVec &out) const override
+    {
+        shards.readRegister(reg, lane, out);
+    }
+    void
+    readMemory(rtl::MemId mem, uint64_t index, uint32_t lane,
+               rtl::BitVec &out) const override
+    {
+        shards.readMemory(mem, index, lane, out);
+    }
 
     /** Checkpoint the state of every tile (plus the cycle count). */
     void save(std::ostream &out) const;
-    /** Restore a checkpoint from the same compiled configuration. */
-    void restore(std::istream &in);
 
-    /** Engine-agnostic checkpointing (see SimEngine). */
+    /** Raw state blob (see SimEngine::saveState). */
     bool
     saveState(std::ostream &out) const override
     {
         save(out);
-        return true;
-    }
-    bool
-    restoreState(std::istream &in) override
-    {
-        restore(in);
         return true;
     }
 

@@ -1667,7 +1667,7 @@ CgenInterpreter::CgenInterpreter(Netlist nl, const LowerOptions &lower,
                                  const CgenOptions &copt)
     : Interpreter(std::move(nl), lower, copt.lanes ? copt.lanes : 1)
 {
-    native_ = cgenAttach(mutableState(), program(), copt);
+    native_ = cgenAttach(*state, prog, copt);
 }
 
 } // namespace parendi::rtl

@@ -2,7 +2,6 @@
 
 #include <bit>
 #include <cstring>
-#include <istream>
 #include <ostream>
 
 #include "rtl/analysis.hh"
@@ -780,7 +779,8 @@ EvalState::enableActivity(bool on)
 void
 EvalState::markAllDirty()
 {
-    if (activity_)
+    // An empty map's data() may be null, which memset must not see.
+    if (activity_ && !dirty_.empty())
         std::memset(dirty_.data(), 1, dirty_.size());
 }
 
@@ -1581,32 +1581,6 @@ EvalState::save(std::ostream &out) const
     out.write(reinterpret_cast<const char *>(&nmems), sizeof(nmems));
     for (const auto &m : mems_)
         write_vec(m.data(), m.size());
-}
-
-void
-EvalState::restore(std::istream &in)
-{
-    auto read_vec = [&](uint64_t *p, uint64_t size) {
-        uint64_t n = 0;
-        in.read(reinterpret_cast<char *>(&n), sizeof(n));
-        if (!in || n != size)
-            fatal("checkpoint mismatch: expected %llu words, got %llu",
-                  static_cast<unsigned long long>(size),
-                  static_cast<unsigned long long>(n));
-        in.read(reinterpret_cast<char *>(p),
-                static_cast<std::streamsize>(n * 8));
-        if (!in)
-            fatal("checkpoint truncated");
-    };
-    read_vec(slots_.data(), slots_.size());
-    uint64_t nmems = 0;
-    in.read(reinterpret_cast<char *>(&nmems), sizeof(nmems));
-    if (!in || nmems != mems_.size())
-        fatal("checkpoint mismatch: memory count");
-    for (auto &m : mems_)
-        read_vec(m.data(), m.size());
-    refreshMemPtrs();
-    markAllDirty();
 }
 
 } // namespace parendi::rtl

@@ -572,9 +572,6 @@ class EvalState
 
     /** Serialize all mutable state (slots + memory images). */
     void save(std::ostream &out) const;
-    /** Restore state saved by save(); the program must be identical.
-     *  Calls fatal() on a size mismatch. */
-    void restore(std::istream &in);
 
   private:
     /** Generic-tier kernels (the original multi-word switch), over the

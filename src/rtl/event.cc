@@ -10,14 +10,8 @@ namespace parendi::rtl {
 
 EventInterpreter::EventInterpreter(Netlist netlist,
                                    const LowerOptions &lower)
-    : nl(std::move(netlist))
+    : ProgramEngine(std::move(netlist), lower, 1)
 {
-    ProgramBuilder builder(nl);
-    builder.addAll();
-    prog = builder.build();
-    lowerProgram(prog, lower);
-    state = std::make_unique<EvalState>(prog);
-
     // Producer (dst slot) -> instruction index.
     std::unordered_map<uint32_t, uint32_t> producer;
     for (uint32_t i = 0; i < prog.instrs.size(); ++i)
@@ -48,10 +42,9 @@ EventInterpreter::EventInterpreter(Netlist netlist,
             memUsers[prog.instrs[i].aux].push_back(i);
 
     dirty.assign(prog.instrs.size(), 0);
-    // Initial full evaluation (like power-on in a full-cycle sim).
-    state->evalComb();
-    shadow.assign(state->slotPtr(0),
-                  state->slotPtr(0) + prog.numSlots());
+    // The base evaluated everything once (like power-on in a
+    // full-cycle sim).
+    settle();
 }
 
 void
@@ -73,34 +66,21 @@ EventInterpreter::reset()
 }
 
 void
-EventInterpreter::poke(const std::string &input, const BitVec &value)
+EventInterpreter::pokeInput(PortId port, const BitVec &value,
+                            uint32_t lane)
 {
-    PortId id = nl.findInput(input);
-    if (id == nl.numInputs())
-        fatal("no input port named %s", input.c_str());
-    for (const ProgPort &p : prog.inputs) {
-        if (p.port != id)
-            continue;
-        if (value.width() != p.width)
-            fatal("poke %s: width %u != port width %u", input.c_str(),
-                  value.width(), p.width);
-        state->writeSlot(p.slot, value);
-        // A full re-evaluation leaves nothing pending, so the next
-        // step()'s selective propagation starts from a settled state.
-        state->evalComb();
-        settle();
-        return;
-    }
-    fatal("input port %s not in program", input.c_str());
+    // The base's full re-evaluation leaves nothing pending, so the
+    // next step()'s selective propagation starts from a settled state.
+    ProgramEngine::pokeInput(port, value, lane);
+    settle();
 }
 
-void
-EventInterpreter::poke(const std::string &input, uint64_t value)
+bool
+EventInterpreter::importArch(const core::ArchState &st)
 {
-    PortId id = nl.findInput(input);
-    if (id == nl.numInputs())
-        fatal("no input port named %s", input.c_str());
-    poke(input, BitVec(nl.input(id).width, value));
+    ProgramEngine::importArch(st);
+    settle();
+    return true;
 }
 
 void
@@ -170,53 +150,6 @@ EventInterpreter::step(size_t n)
         }
         ++cycleCount;
     }
-}
-
-BitVec
-EventInterpreter::peek(const std::string &output) const
-{
-    PortId id = nl.findOutput(output);
-    if (id == nl.numOutputs())
-        fatal("no output port named %s", output.c_str());
-    for (const ProgPort &p : prog.outputs)
-        if (p.port == id)
-            return state->readSlot(p.slot, p.width);
-    fatal("output %s not in program", output.c_str());
-}
-
-BitVec
-EventInterpreter::peekRegister(const std::string &reg) const
-{
-    RegId id = nl.findRegister(reg);
-    if (id == nl.numRegisters())
-        fatal("no register named %s", reg.c_str());
-    for (const ProgReg &r : prog.regs)
-        if (r.reg == id)
-            return state->readSlot(r.cur, r.width);
-    fatal("register %s not in program", reg.c_str());
-}
-
-BitVec
-EventInterpreter::peekMemory(const std::string &mem,
-                             uint64_t index) const
-{
-    MemId id = nl.findMemory(mem);
-    if (id == nl.numMemories())
-        fatal("no memory named %s", mem.c_str());
-    for (size_t i = 0; i < prog.mems.size(); ++i) {
-        const ProgMem &pm = prog.mems[i];
-        if (pm.mem != id)
-            continue;
-        if (index >= pm.depth)
-            fatal("memory %s index %llu out of range", mem.c_str(),
-                  static_cast<unsigned long long>(index));
-        const auto &img = state->memImage(static_cast<uint32_t>(i));
-        std::vector<uint64_t> words(
-            img.begin() + index * pm.entryWords,
-            img.begin() + (index + 1) * pm.entryWords);
-        return BitVec(nl.mem(id).width, std::move(words));
-    }
-    fatal("memory %s not in program", mem.c_str());
 }
 
 } // namespace parendi::rtl

@@ -7,23 +7,20 @@
  * changes exceeds the savings at typical RTL activity factors; this
  * implementation exists to measure that trade-off on the benchmark
  * designs (bench/sec3_activity) and as a second, independently
- * derived functional model for differential testing.
+ * derived functional model for differential testing. It is a test and
+ * §3 witness, not a CLI engine: makeEngine never builds it.
  */
 
 #ifndef PARENDI_RTL_EVENT_HH
 #define PARENDI_RTL_EVENT_HH
 
-#include <memory>
-#include <string>
 #include <vector>
 
-#include "core/engine.hh"
-#include "rtl/eval.hh"
-#include "rtl/netlist.hh"
+#include "rtl/interp.hh"
 
 namespace parendi::rtl {
 
-class EventInterpreter : public core::SimEngine
+class EventInterpreter : public ProgramEngine
 {
   public:
     /** Defaults to the generic (unlowered) program form so it remains
@@ -42,18 +39,15 @@ class EventInterpreter : public core::SimEngine
     /** Restore initial state (activity counters included). */
     void reset() override;
 
-    uint64_t cycles() const override { return cycleCount; }
-
     /** Drive an input port. The write triggers a full re-evaluation
      *  (pokes are host-rate, not cycle-rate, so selective propagation
      *  is not worth the bookkeeping here). */
-    void poke(const std::string &input, const BitVec &value) override;
-    void poke(const std::string &input, uint64_t value) override;
+    void pokeInput(PortId port, const BitVec &value,
+                   uint32_t lane) override;
 
-    BitVec peek(const std::string &output) const override;
-    BitVec peekRegister(const std::string &reg) const override;
-    BitVec peekMemory(const std::string &mem,
-                      uint64_t index) const override;
+    /** Scalar architectural import (see SimEngine); settles the
+     *  change-detection shadow on the imported state. */
+    bool importArch(const core::ArchState &st) override;
 
     /** Nodes evaluated since construction (the "work done"). */
     uint64_t evaluatedNodes() const { return evaluated; }
@@ -73,16 +67,10 @@ class EventInterpreter : public core::SimEngine
                    : 0.0;
     }
 
-    const Netlist &netlist() const override { return nl; }
-
   private:
     /** Sync the change-detection shadow with a fully evaluated state
      *  and clear all pending dirty flags. */
     void settle();
-
-    Netlist nl;
-    EvalProgram prog;
-    std::unique_ptr<EvalState> state;
 
     /// instruction index -> indices of dependent instructions
     std::vector<std::vector<uint32_t>> users;
@@ -93,7 +81,6 @@ class EventInterpreter : public core::SimEngine
     std::vector<uint8_t> dirty;
     std::vector<uint64_t> shadow;   ///< previous dst values
 
-    uint64_t cycleCount = 0;
     uint64_t evaluated = 0;
 };
 

@@ -1,24 +1,172 @@
 #include "rtl/interp.hh"
 
-#include <istream>
 #include <ostream>
 
 #include "util/logging.hh"
 
 namespace parendi::rtl {
 
-Interpreter::Interpreter(Netlist netlist, const LowerOptions &lower,
-                         uint32_t replicas)
+ProgramEngine::ProgramEngine(Netlist netlist, const LowerOptions &lower,
+                             uint32_t lanes)
     : nl(std::move(netlist))
 {
     ProgramBuilder builder(nl);
     builder.addAll();
     prog = builder.build();
     lowerProgram(prog, lower);
-    state = std::make_unique<EvalState>(prog, replicas);
-    // Evaluate combinational logic once so outputs are observable
-    // before the first clock edge.
+    state = std::make_unique<EvalState>(prog, lanes);
     state->evalComb();
+}
+
+void
+ProgramEngine::pokeInput(PortId port, const BitVec &value, uint32_t lane)
+{
+    for (const ProgPort &p : prog.inputs) {
+        if (p.port != port)
+            continue;
+        if (lane == core::kAllLanes)
+            state->writeSlot(p.slot, value);
+        else
+            state->writeSlotLane(p.slot, value, lane);
+        break;
+    }
+    // Re-evaluate so pokes are visible combinationally.
+    state->evalComb();
+}
+
+void
+ProgramEngine::readOutput(PortId port, uint32_t lane, BitVec &out) const
+{
+    for (const ProgPort &p : prog.outputs)
+        if (p.port == port)
+            return state->readSlotInto(p.slot, p.width, out, lane);
+    panic("output %u not in program", port);
+}
+
+void
+ProgramEngine::readRegister(RegId reg, uint32_t lane, BitVec &out) const
+{
+    for (const ProgReg &r : prog.regs)
+        if (r.reg == reg)
+            return state->readSlotInto(r.cur, r.width, out, lane);
+    panic("register %u not in program", reg);
+}
+
+void
+ProgramEngine::readMemory(MemId mem, uint64_t index, uint32_t lane,
+                          BitVec &out) const
+{
+    for (size_t i = 0; i < prog.mems.size(); ++i)
+        if (prog.mems[i].mem == mem) {
+            out = state->readMemEntry(static_cast<uint32_t>(i), index,
+                                      nl.mem(mem).width, lane);
+            return;
+        }
+    // Neither read nor written by the design: still the initial image.
+    const Memory &m = nl.mem(mem);
+    out = index < m.init.size() ? m.init[index] : BitVec(m.width);
+}
+
+bool
+ProgramEngine::exportArch(core::ArchState &out) const
+{
+    uint32_t lanes = state->lanes();
+    out.cycles = cycleCount;
+    out.lanes = lanes;
+    out.regs.assign(nl.numRegisters(), {});
+    for (RegId r = 0; r < nl.numRegisters(); ++r)
+        out.regs[r].assign(lanes, nl.reg(r).init);
+    for (const ProgReg &pr : prog.regs)
+        for (uint32_t l = 0; l < lanes; ++l)
+            out.regs[pr.reg][l] = state->readSlot(pr.cur, pr.width, l);
+    out.mems.assign(nl.numMemories(), {});
+    for (MemId m = 0; m < nl.numMemories(); ++m)
+        out.mems[m].assign(uint64_t(nl.mem(m).depth) * lanes,
+                           BitVec(nl.mem(m).width));
+    for (size_t i = 0; i < prog.mems.size(); ++i) {
+        const ProgMem &pm = prog.mems[i];
+        for (uint64_t e = 0; e < pm.depth; ++e)
+            for (uint32_t l = 0; l < lanes; ++l)
+                out.mems[pm.mem][e * lanes + l] = state->readMemEntry(
+                    static_cast<uint32_t>(i), e, nl.mem(pm.mem).width,
+                    l);
+    }
+    out.inputs.assign(nl.numInputs(), {});
+    for (PortId p = 0; p < nl.numInputs(); ++p)
+        out.inputs[p].assign(lanes, BitVec(nl.input(p).width));
+    for (const ProgPort &pp : prog.inputs)
+        for (uint32_t l = 0; l < lanes; ++l)
+            out.inputs[pp.port][l] =
+                state->readSlot(pp.slot, pp.width, l);
+    return true;
+}
+
+bool
+ProgramEngine::importArch(const core::ArchState &st)
+{
+    uint32_t lanes = state->lanes();
+    if (st.lanes != lanes)
+        fatal("importArch: state holds %u lanes, this engine runs %u",
+              st.lanes, lanes);
+    if (st.regs.size() != nl.numRegisters() ||
+        st.mems.size() != nl.numMemories() ||
+        st.inputs.size() != nl.numInputs())
+        fatal("importArch: state shape does not match the design");
+    for (const ProgReg &pr : prog.regs) {
+        const auto &perLane = st.regs[pr.reg];
+        if (perLane.size() != lanes)
+            fatal("importArch: register %s lane count mismatch",
+                  nl.reg(pr.reg).name.c_str());
+        for (uint32_t l = 0; l < lanes; ++l) {
+            if (perLane[l].width() != pr.width)
+                fatal("importArch: register %s width mismatch",
+                      nl.reg(pr.reg).name.c_str());
+            state->writeSlotLane(pr.cur, perLane[l], l);
+        }
+    }
+    for (size_t i = 0; i < prog.mems.size(); ++i) {
+        const ProgMem &pm = prog.mems[i];
+        const Memory &mem = nl.mem(pm.mem);
+        const auto &entries = st.mems[pm.mem];
+        if (entries.size() != uint64_t(mem.depth) * lanes)
+            fatal("importArch: memory %s entry count mismatch",
+                  mem.name.c_str());
+        for (uint64_t e = 0; e < pm.depth; ++e) {
+            for (uint32_t l = 0; l < lanes; ++l) {
+                const BitVec &v = entries[e * lanes + l];
+                if (v.width() != mem.width)
+                    fatal("importArch: memory %s width mismatch",
+                          mem.name.c_str());
+                state->writeMemEntry(static_cast<uint32_t>(i), e, v, l);
+            }
+        }
+    }
+    for (const ProgPort &pp : prog.inputs) {
+        const auto &perLane = st.inputs[pp.port];
+        if (perLane.size() != lanes)
+            fatal("importArch: input %s lane count mismatch",
+                  nl.input(pp.port).name.c_str());
+        for (uint32_t l = 0; l < lanes; ++l) {
+            if (perLane[l].width() != pp.width)
+                fatal("importArch: input %s width mismatch",
+                      nl.input(pp.port).name.c_str());
+            state->writeSlotLane(pp.slot, perLane[l], l);
+        }
+    }
+    cycleCount = st.cycles;
+    // Rebuild every combinational slot from the imported architectural
+    // values; pending deferred writes and next-values are recomputed
+    // exactly as in the exporting engine (the cycle order is
+    // commit -> latch -> eval, so at-rest comb state is a pure function
+    // of regs + mems + inputs).
+    state->evalComb();
+    return true;
+}
+
+Interpreter::Interpreter(Netlist netlist, const LowerOptions &lower,
+                         uint32_t replicas)
+    : ProgramEngine(std::move(netlist), lower, replicas)
+{
 }
 
 void
@@ -103,292 +251,11 @@ Interpreter::reset()
 }
 
 void
-Interpreter::poke(const std::string &input, const BitVec &value)
-{
-    PortId id = nl.findInput(input);
-    if (id == nl.numInputs())
-        fatal("no input port named %s", input.c_str());
-    for (const ProgPort &p : prog.inputs) {
-        if (p.port == id) {
-            if (value.width() != p.width)
-                fatal("poke %s: width %u != port width %u",
-                      input.c_str(), value.width(), p.width);
-            state->writeSlot(p.slot, value);
-            // Re-evaluate so pokes are visible combinationally.
-            state->evalComb();
-            return;
-        }
-    }
-    fatal("input port %s not in program", input.c_str());
-}
-
-void
-Interpreter::poke(const std::string &input, uint64_t value)
-{
-    PortId id = nl.findInput(input);
-    if (id == nl.numInputs())
-        fatal("no input port named %s", input.c_str());
-    poke(input, BitVec(nl.input(id).width, value));
-}
-
-void
 Interpreter::save(std::ostream &out) const
 {
     out.write(reinterpret_cast<const char *>(&cycleCount),
               sizeof(cycleCount));
     state->save(out);
-}
-
-void
-Interpreter::restore(std::istream &in)
-{
-    in.read(reinterpret_cast<char *>(&cycleCount),
-            sizeof(cycleCount));
-    if (!in)
-        fatal("checkpoint truncated");
-    state->restore(in);
-}
-
-bool
-Interpreter::exportArch(core::ArchState &out) const
-{
-    uint32_t lanes = state->lanes();
-    out.cycles = cycleCount;
-    out.lanes = lanes;
-    out.regs.assign(nl.numRegisters(), {});
-    for (RegId r = 0; r < nl.numRegisters(); ++r)
-        out.regs[r].assign(lanes, nl.reg(r).init);
-    for (const ProgReg &pr : prog.regs)
-        for (uint32_t l = 0; l < lanes; ++l)
-            out.regs[pr.reg][l] = state->readSlot(pr.cur, pr.width, l);
-    out.mems.assign(nl.numMemories(), {});
-    for (MemId m = 0; m < nl.numMemories(); ++m)
-        out.mems[m].assign(uint64_t(nl.mem(m).depth) * lanes,
-                           BitVec(nl.mem(m).width));
-    for (size_t i = 0; i < prog.mems.size(); ++i) {
-        const ProgMem &pm = prog.mems[i];
-        for (uint64_t e = 0; e < pm.depth; ++e)
-            for (uint32_t l = 0; l < lanes; ++l)
-                out.mems[pm.mem][e * lanes + l] = state->readMemEntry(
-                    static_cast<uint32_t>(i), e, nl.mem(pm.mem).width,
-                    l);
-    }
-    out.inputs.assign(nl.numInputs(), {});
-    for (PortId p = 0; p < nl.numInputs(); ++p)
-        out.inputs[p].assign(lanes, BitVec(nl.input(p).width));
-    for (const ProgPort &pp : prog.inputs)
-        for (uint32_t l = 0; l < lanes; ++l)
-            out.inputs[pp.port][l] =
-                state->readSlot(pp.slot, pp.width, l);
-    return true;
-}
-
-bool
-Interpreter::importArch(const core::ArchState &st)
-{
-    uint32_t lanes = state->lanes();
-    if (st.lanes != lanes)
-        fatal("importArch: state holds %u lanes, this engine runs %u",
-              st.lanes, lanes);
-    if (st.regs.size() != nl.numRegisters() ||
-        st.mems.size() != nl.numMemories() ||
-        st.inputs.size() != nl.numInputs())
-        fatal("importArch: state shape does not match the design");
-    for (const ProgReg &pr : prog.regs) {
-        const auto &perLane = st.regs[pr.reg];
-        if (perLane.size() != lanes)
-            fatal("importArch: register %s lane count mismatch",
-                  nl.reg(pr.reg).name.c_str());
-        for (uint32_t l = 0; l < lanes; ++l) {
-            if (perLane[l].width() != pr.width)
-                fatal("importArch: register %s width mismatch",
-                      nl.reg(pr.reg).name.c_str());
-            state->writeSlotLane(pr.cur, perLane[l], l);
-        }
-    }
-    for (size_t i = 0; i < prog.mems.size(); ++i) {
-        const ProgMem &pm = prog.mems[i];
-        const Memory &mem = nl.mem(pm.mem);
-        const auto &entries = st.mems[pm.mem];
-        if (entries.size() != uint64_t(mem.depth) * lanes)
-            fatal("importArch: memory %s entry count mismatch",
-                  mem.name.c_str());
-        for (uint64_t e = 0; e < pm.depth; ++e) {
-            for (uint32_t l = 0; l < lanes; ++l) {
-                const BitVec &v = entries[e * lanes + l];
-                if (v.width() != mem.width)
-                    fatal("importArch: memory %s width mismatch",
-                          mem.name.c_str());
-                state->writeMemEntry(static_cast<uint32_t>(i), e, v, l);
-            }
-        }
-    }
-    for (const ProgPort &pp : prog.inputs) {
-        const auto &perLane = st.inputs[pp.port];
-        if (perLane.size() != lanes)
-            fatal("importArch: input %s lane count mismatch",
-                  nl.input(pp.port).name.c_str());
-        for (uint32_t l = 0; l < lanes; ++l) {
-            if (perLane[l].width() != pp.width)
-                fatal("importArch: input %s width mismatch",
-                      nl.input(pp.port).name.c_str());
-            state->writeSlotLane(pp.slot, perLane[l], l);
-        }
-    }
-    cycleCount = st.cycles;
-    // Rebuild every combinational slot from the imported architectural
-    // values; pending deferred writes and next-values are recomputed
-    // exactly as in the exporting engine (the cycle order is
-    // commit -> latch -> eval, so at-rest comb state is a pure function
-    // of regs + mems + inputs).
-    state->evalComb();
-    return true;
-}
-
-BitVec
-Interpreter::peek(const std::string &output) const
-{
-    PortId id = nl.findOutput(output);
-    if (id == nl.numOutputs())
-        fatal("no output port named %s", output.c_str());
-    for (const ProgPort &p : prog.outputs)
-        if (p.port == id)
-            return state->readSlot(p.slot, p.width);
-    fatal("output port %s not in program", output.c_str());
-}
-
-BitVec
-Interpreter::peekRegister(const std::string &reg) const
-{
-    RegId id = nl.findRegister(reg);
-    if (id == nl.numRegisters())
-        fatal("no register named %s", reg.c_str());
-    for (const ProgReg &r : prog.regs)
-        if (r.reg == id)
-            return state->readSlot(r.cur, r.width);
-    fatal("register %s not in program", reg.c_str());
-}
-
-void
-Interpreter::peekInto(const std::string &output, BitVec &out) const
-{
-    PortId id = nl.findOutput(output);
-    if (id == nl.numOutputs())
-        fatal("no output port named %s", output.c_str());
-    for (const ProgPort &p : prog.outputs) {
-        if (p.port == id) {
-            state->readSlotInto(p.slot, p.width, out);
-            return;
-        }
-    }
-    fatal("output port %s not in program", output.c_str());
-}
-
-void
-Interpreter::peekRegisterInto(const std::string &reg, BitVec &out) const
-{
-    RegId id = nl.findRegister(reg);
-    if (id == nl.numRegisters())
-        fatal("no register named %s", reg.c_str());
-    for (const ProgReg &r : prog.regs) {
-        if (r.reg == id) {
-            state->readSlotInto(r.cur, r.width, out);
-            return;
-        }
-    }
-    fatal("register %s not in program", reg.c_str());
-}
-
-BitVec
-Interpreter::peekMemory(const std::string &mem, uint64_t index) const
-{
-    return peekMemoryLane(mem, index, 0);
-}
-
-void
-Interpreter::pokeLane(const std::string &input, const BitVec &value,
-                      uint32_t lane)
-{
-    if (lane >= state->lanes())
-        fatal("pokeLane: lane %u out of range (replicas=%u)", lane,
-              state->lanes());
-    PortId id = nl.findInput(input);
-    if (id == nl.numInputs())
-        fatal("no input port named %s", input.c_str());
-    for (const ProgPort &p : prog.inputs) {
-        if (p.port == id) {
-            if (value.width() != p.width)
-                fatal("poke %s: width %u != port width %u",
-                      input.c_str(), value.width(), p.width);
-            state->writeSlotLane(p.slot, value, lane);
-            state->evalComb();
-            return;
-        }
-    }
-    fatal("input port %s not in program", input.c_str());
-}
-
-void
-Interpreter::pokeLane(const std::string &input, uint64_t value,
-                      uint32_t lane)
-{
-    PortId id = nl.findInput(input);
-    if (id == nl.numInputs())
-        fatal("no input port named %s", input.c_str());
-    pokeLane(input, BitVec(nl.input(id).width, value), lane);
-}
-
-BitVec
-Interpreter::peekLane(const std::string &output, uint32_t lane) const
-{
-    if (lane >= state->lanes())
-        fatal("peekLane: lane %u out of range (replicas=%u)", lane,
-              state->lanes());
-    PortId id = nl.findOutput(output);
-    if (id == nl.numOutputs())
-        fatal("no output port named %s", output.c_str());
-    for (const ProgPort &p : prog.outputs)
-        if (p.port == id)
-            return state->readSlot(p.slot, p.width, lane);
-    fatal("output port %s not in program", output.c_str());
-}
-
-BitVec
-Interpreter::peekRegisterLane(const std::string &reg, uint32_t lane) const
-{
-    if (lane >= state->lanes())
-        fatal("peekRegisterLane: lane %u out of range (replicas=%u)",
-              lane, state->lanes());
-    RegId id = nl.findRegister(reg);
-    if (id == nl.numRegisters())
-        fatal("no register named %s", reg.c_str());
-    for (const ProgReg &r : prog.regs)
-        if (r.reg == id)
-            return state->readSlot(r.cur, r.width, lane);
-    fatal("register %s not in program", reg.c_str());
-}
-
-BitVec
-Interpreter::peekMemoryLane(const std::string &mem, uint64_t index,
-                            uint32_t lane) const
-{
-    if (lane >= state->lanes())
-        fatal("peekMemoryLane: lane %u out of range (replicas=%u)", lane,
-              state->lanes());
-    MemId id = nl.findMemory(mem);
-    if (id == nl.numMemories())
-        fatal("no memory named %s", mem.c_str());
-    for (size_t i = 0; i < prog.mems.size(); ++i) {
-        const ProgMem &pm = prog.mems[i];
-        if (pm.mem != id)
-            continue;
-        if (index >= pm.depth)
-            fatal("memory %s index %llu out of range", mem.c_str(),
-                  static_cast<unsigned long long>(index));
-        return state->readMemEntry(static_cast<uint32_t>(i), index,
-                                   nl.mem(id).width, lane);
-    }
-    fatal("memory %s not in program", mem.c_str());
 }
 
 } // namespace parendi::rtl

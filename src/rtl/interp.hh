@@ -11,7 +11,6 @@
 
 #include <iosfwd>
 #include <memory>
-#include <string>
 
 #include "core/engine.hh"
 #include "rtl/eval.hh"
@@ -20,26 +19,67 @@
 namespace parendi::rtl {
 
 /**
- * Owns a compiled whole-design EvalProgram and its state, and exposes
- * cycle stepping plus name-based port/register/memory access.
+ * A SimEngine over one whole-design EvalProgram: owns the design, the
+ * program and its state, and implements the id-indexed access
+ * primitives and the architectural view that Interpreter and
+ * EventInterpreter share.
  */
-class Interpreter : public core::SimEngine
+class ProgramEngine : public core::SimEngine
 {
   public:
-    /** Takes the netlist by value (copy or move) so the interpreter
-     *  owns its design and temporaries are safe to pass. The compiled
-     *  program is lowered (specialized + fused) by default; pass
-     *  LowerOptions::none() for the fully generic A/B baseline.
-     *  @p replicas > 1 builds a gang: R independent instances in one
-     *  lane-major EvalState, stepped together. */
+    // The state holds a reference to the program member; the object
+    // must stay put.
+    ProgramEngine(const ProgramEngine &) = delete;
+    ProgramEngine &operator=(const ProgramEngine &) = delete;
+
+    const Netlist &netlist() const override { return nl; }
+    const EvalProgram &program() const { return prog; }
+
+    /** Cycles simulated since construction/reset. */
+    uint64_t cycles() const override { return cycleCount; }
+    uint32_t replicas() const override { return state->lanes(); }
+
+    void pokeInput(PortId port, const BitVec &value,
+                   uint32_t lane) override;
+    void readOutput(PortId port, uint32_t lane,
+                    BitVec &out) const override;
+    void readRegister(RegId reg, uint32_t lane,
+                      BitVec &out) const override;
+    void readMemory(MemId mem, uint64_t index, uint32_t lane,
+                    BitVec &out) const override;
+
+    /** Canonical architectural state (see SimEngine / src/ckpt). */
+    bool exportArch(core::ArchState &out) const override;
+    bool importArch(const core::ArchState &st) override;
+
+  protected:
+    /** Takes the netlist by value (copy or move) so the engine owns
+     *  its design and temporaries are safe to pass. Builds and lowers
+     *  the program, instantiates @p lanes replica lanes of state and
+     *  evaluates combinational logic once, so outputs are observable
+     *  before the first clock edge. */
+    ProgramEngine(Netlist nl, const LowerOptions &lower, uint32_t lanes);
+
+    Netlist nl;
+    EvalProgram prog;
+    std::unique_ptr<EvalState> state;
+    uint64_t cycleCount = 0;
+};
+
+/**
+ * Owns a compiled whole-design EvalProgram and its state, and steps it
+ * one full cycle at a time.
+ */
+class Interpreter : public ProgramEngine
+{
+  public:
+    /** The compiled program is lowered (specialized + fused) by
+     *  default; pass LowerOptions::none() for the fully generic A/B
+     *  baseline. @p replicas > 1 builds a gang: R independent
+     *  instances in one lane-major EvalState, stepped together. */
     explicit Interpreter(Netlist nl,
                          const LowerOptions &lower = LowerOptions{},
                          uint32_t replicas = 1);
-
-    // The state holds a reference to the program member; the object
-    // must stay put.
-    Interpreter(const Interpreter &) = delete;
-    Interpreter &operator=(const Interpreter &) = delete;
 
     const char *engineName() const override { return "interp"; }
 
@@ -60,72 +100,19 @@ class Interpreter : public core::SimEngine
         return state->activityEnabled();
     }
 
-    /** Cycles simulated since construction/reset. */
-    uint64_t cycles() const override { return cycleCount; }
-
     /** Reset all state to initial values. */
     void reset() override;
 
-    /** Drive an input port (takes effect from the next evaluation). */
-    void poke(const std::string &input, const BitVec &value) override;
-    void poke(const std::string &input, uint64_t value) override;
-
-    /** Sample an output port as of the last completed cycle's
-     *  combinational evaluation. */
-    BitVec peek(const std::string &output) const override;
-
-    /** Read a register's current value by name. */
-    BitVec peekRegister(const std::string &reg) const override;
-
-    /** Read one memory entry by memory name. */
-    BitVec peekMemory(const std::string &mem,
-                      uint64_t index) const override;
-
-    // Gang lane access (see SimEngine). Scalar poke broadcasts to all
-    // lanes; scalar peeks read lane 0.
-    uint32_t replicas() const override { return state->lanes(); }
-    void pokeLane(const std::string &input, const BitVec &value,
-                  uint32_t lane) override;
-    void pokeLane(const std::string &input, uint64_t value,
-                  uint32_t lane) override;
-    BitVec peekLane(const std::string &output,
-                    uint32_t lane) const override;
-    BitVec peekRegisterLane(const std::string &reg,
-                            uint32_t lane) const override;
-    BitVec peekMemoryLane(const std::string &mem, uint64_t index,
-                          uint32_t lane) const override;
-
     /** Checkpoint all simulation state (including the cycle count). */
     void save(std::ostream &out) const;
-    /** Restore a checkpoint written by save() for the same design. */
-    void restore(std::istream &in);
 
-    /** Engine-agnostic checkpointing (see SimEngine). */
+    /** Raw state blob (see SimEngine::saveState). */
     bool
     saveState(std::ostream &out) const override
     {
         save(out);
         return true;
     }
-    bool
-    restoreState(std::istream &in) override
-    {
-        restore(in);
-        return true;
-    }
-
-    /** Canonical architectural state (see SimEngine / src/ckpt). */
-    bool exportArch(core::ArchState &out) const override;
-    bool importArch(const core::ArchState &st) override;
-
-    const Netlist &netlist() const override { return nl; }
-    const EvalProgram &program() const { return prog; }
-
-    /** Allocation-free peeks (see SimEngine): read straight out of the
-     *  slot array into a caller-owned BitVec. */
-    void peekInto(const std::string &output, BitVec &out) const override;
-    void peekRegisterInto(const std::string &reg,
-                          BitVec &out) const override;
 
     /** Attach an obs::SuperstepProfiler (one worker, one shard; the
      *  whole design is a single straight-line program here, so the
@@ -145,18 +132,8 @@ class Interpreter : public core::SimEngine
         return profiler_.get();
     }
 
-  protected:
-    /** Mutable run state, for subclasses that install native kernels
-     *  (rtl::CgenInterpreter). */
-    EvalState &mutableState() { return *state; }
-
   private:
     void stepProfiled(size_t n);
-
-    Netlist nl;
-    EvalProgram prog;
-    std::unique_ptr<EvalState> state;
-    uint64_t cycleCount = 0;
 
     std::unique_ptr<obs::SuperstepProfiler> profiler_;
     obs::Counter *ctrInstrs_ = nullptr;

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <istream>
 #include <ostream>
 #include <unordered_map>
 
@@ -641,159 +640,58 @@ ShardSet::reset()
     pubValid_ = false;
 }
 
-// -- Name-based host access ----------------------------------------------
+// -- Host access ---------------------------------------------------------
 
 void
-ShardSet::poke(const std::string &input, const BitVec &value)
+ShardSet::pokeInput(PortId port, const BitVec &value, uint32_t lane)
 {
-    PortId id = nl_->findInput(input);
-    if (id == nl_->numInputs())
-        fatal("no input port named %s", input.c_str());
-    if (value.width() != nl_->input(id).width)
-        fatal("poke %s: width mismatch", input.c_str());
-    for (auto [shard, slot] : inputSlots_[id]) {
-        states_[shard]->writeSlot(slot, value);
+    for (auto [shard, slot] : inputSlots_[port]) {
+        if (lane == core::kAllLanes)
+            states_[shard]->writeSlot(slot, value);
+        else
+            states_[shard]->writeSlotLane(slot, value, lane);
         states_[shard]->evalComb();
     }
     pubValid_ = false;
 }
 
 void
-ShardSet::poke(const std::string &input, uint64_t value)
+ShardSet::readOutput(PortId port, uint32_t lane, BitVec &out) const
 {
-    PortId id = nl_->findInput(input);
-    if (id == nl_->numInputs())
-        fatal("no input port named %s", input.c_str());
-    poke(input, BitVec(nl_->input(id).width, value));
-}
-
-BitVec
-ShardSet::peek(const std::string &output) const
-{
-    PortId id = nl_->findOutput(output);
-    if (id == nl_->numOutputs())
-        fatal("no output port named %s", output.c_str());
-    auto [shard, slot] = outputSlots_[id];
+    auto [shard, slot] = outputSlots_[port];
     if (shard == UINT32_MAX)
-        fatal("output %s not placed", output.c_str());
-    return states_[shard]->readSlot(slot, nl_->output(id).width);
-}
-
-BitVec
-ShardSet::peekRegister(const std::string &reg) const
-{
-    RegId id = nl_->findRegister(reg);
-    if (id == nl_->numRegisters())
-        fatal("no register named %s", reg.c_str());
-    auto [shard, slot] = regHome_[id];
-    if (shard == UINT32_MAX)
-        fatal("register %s not placed", reg.c_str());
-    return states_[shard]->readSlot(slot, nl_->reg(id).width);
+        panic("output %s not placed", nl_->output(port).name.c_str());
+    states_[shard]->readSlotInto(slot, nl_->output(port).width, out,
+                                 lane);
 }
 
 void
-ShardSet::peekInto(const std::string &output, BitVec &out) const
+ShardSet::readRegister(RegId reg, uint32_t lane, BitVec &out) const
 {
-    PortId id = nl_->findOutput(output);
-    if (id == nl_->numOutputs())
-        fatal("no output port named %s", output.c_str());
-    auto [shard, slot] = outputSlots_[id];
+    auto [shard, slot] = regHome_[reg];
     if (shard == UINT32_MAX)
-        fatal("output %s not placed", output.c_str());
-    states_[shard]->readSlotInto(slot, nl_->output(id).width, out);
+        panic("register %s not placed", nl_->reg(reg).name.c_str());
+    states_[shard]->readSlotInto(slot, nl_->reg(reg).width, out, lane);
 }
 
 void
-ShardSet::peekRegisterInto(const std::string &reg, BitVec &out) const
+ShardSet::readMemory(MemId mem, uint64_t index, uint32_t lane,
+                     BitVec &out) const
 {
-    RegId id = nl_->findRegister(reg);
-    if (id == nl_->numRegisters())
-        fatal("no register named %s", reg.c_str());
-    auto [shard, slot] = regHome_[id];
-    if (shard == UINT32_MAX)
-        fatal("register %s not placed", reg.c_str());
-    states_[shard]->readSlotInto(slot, nl_->reg(id).width, out);
-}
-
-BitVec
-ShardSet::peekMemory(const std::string &mem, uint64_t index) const
-{
-    return peekMemoryLane(mem, index, 0);
-}
-
-void
-ShardSet::pokeLane(const std::string &input, const BitVec &value,
-                   uint32_t lane)
-{
-    if (lane >= lanes_)
-        fatal("pokeLane: lane %u out of range (replicas=%u)", lane,
-              lanes_);
-    PortId id = nl_->findInput(input);
-    if (id == nl_->numInputs())
-        fatal("no input port named %s", input.c_str());
-    if (value.width() != nl_->input(id).width)
-        fatal("poke %s: width mismatch", input.c_str());
-    for (auto [shard, slot] : inputSlots_[id]) {
-        states_[shard]->writeSlotLane(slot, value, lane);
-        states_[shard]->evalComb();
-    }
-    pubValid_ = false;
-}
-
-BitVec
-ShardSet::peekLane(const std::string &output, uint32_t lane) const
-{
-    if (lane >= lanes_)
-        fatal("peekLane: lane %u out of range (replicas=%u)", lane,
-              lanes_);
-    PortId id = nl_->findOutput(output);
-    if (id == nl_->numOutputs())
-        fatal("no output port named %s", output.c_str());
-    auto [shard, slot] = outputSlots_[id];
-    if (shard == UINT32_MAX)
-        fatal("output %s not placed", output.c_str());
-    return states_[shard]->readSlot(slot, nl_->output(id).width, lane);
-}
-
-BitVec
-ShardSet::peekRegisterLane(const std::string &reg, uint32_t lane) const
-{
-    if (lane >= lanes_)
-        fatal("peekRegisterLane: lane %u out of range (replicas=%u)",
-              lane, lanes_);
-    RegId id = nl_->findRegister(reg);
-    if (id == nl_->numRegisters())
-        fatal("no register named %s", reg.c_str());
-    auto [shard, slot] = regHome_[id];
-    if (shard == UINT32_MAX)
-        fatal("register %s not placed", reg.c_str());
-    return states_[shard]->readSlot(slot, nl_->reg(id).width, lane);
-}
-
-BitVec
-ShardSet::peekMemoryLane(const std::string &mem, uint64_t index,
-                         uint32_t lane) const
-{
-    if (lane >= lanes_)
-        fatal("peekMemoryLane: lane %u out of range (replicas=%u)",
-              lane, lanes_);
-    MemId id = nl_->findMemory(mem);
-    if (id == nl_->numMemories())
-        fatal("no memory named %s", mem.c_str());
     for (size_t si = 0; si < programs_.size(); ++si) {
         const EvalProgram &prog = programs_[si];
         for (uint32_t mi = 0; mi < prog.mems.size(); ++mi) {
-            const ProgMem &pm = prog.mems[mi];
-            if (pm.mem != id)
-                continue;
-            if (index >= pm.depth)
-                fatal("memory %s index %llu out of range", mem.c_str(),
-                      static_cast<unsigned long long>(index));
-            return states_[si]->readMemEntry(mi, index,
-                                             nl_->mem(id).width, lane);
+            if (prog.mems[mi].mem == mem) {
+                out = states_[si]->readMemEntry(mi, index,
+                                                nl_->mem(mem).width,
+                                                lane);
+                return;
+            }
         }
     }
-    fatal("memory %s not placed on any shard", mem.c_str());
+    // Placed on no shard: still the initial image.
+    const Memory &m = nl_->mem(mem);
+    out = index < m.init.size() ? m.init[index] : BitVec(m.width);
 }
 
 void
@@ -804,18 +702,6 @@ ShardSet::save(std::ostream &out) const
               sizeof(nshards));
     for (const auto &st : states_)
         st->save(out);
-}
-
-void
-ShardSet::restore(std::istream &in)
-{
-    uint64_t nshards = 0;
-    in.read(reinterpret_cast<char *>(&nshards), sizeof(nshards));
-    if (!in || nshards != states_.size())
-        fatal("checkpoint mismatch: shard count");
-    for (auto &st : states_)
-        st->restore(in);
-    pubValid_ = false;
 }
 
 void

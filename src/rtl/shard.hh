@@ -54,8 +54,8 @@
  *    identical records.
  *
  * Both schedules are bit-identical at any worker count and batch size.
- * Every other entry point — construction, reset, poke, restore,
- * importArch — runs sequentially on the calling thread and invalidates
+ * Every other entry point — construction, reset, poke, importArch —
+ * runs sequentially on the calling thread and invalidates
  * the publish buffers; the next fused batch republishes from live
  * state. That also keeps a pool shared across ShardSets free for
  * whichever set is stepping.
@@ -67,7 +67,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <string>
 #include <utility>
 #include <vector>
 
@@ -191,35 +190,22 @@ class ShardSet
     void setProfiler(obs::SuperstepProfiler *prof);
     obs::SuperstepProfiler *profiler() const { return prof_; }
 
-    // -- Name-based host access ------------------------------------------
+    // -- Host access (core::SimEngine's id-indexed primitives; the
+    //    engines forward to these) -----------------------------------
 
-    /** Drive an input on every shard holding it (and re-evaluate those
-     *  shards so the poke is combinationally visible). */
-    void poke(const std::string &input, const BitVec &value);
-    void poke(const std::string &input, uint64_t value);
-    BitVec peek(const std::string &output) const;
-    BitVec peekRegister(const std::string &reg) const;
-    /** Allocation-free peeks into a caller-owned BitVec (the VCD
-     *  tracer's per-cycle sampling path). */
-    void peekInto(const std::string &output, BitVec &out) const;
-    void peekRegisterInto(const std::string &reg, BitVec &out) const;
+    /** Drive an input of one lane (every lane with core::kAllLanes) on
+     *  every shard holding it, and re-evaluate those shards once so
+     *  the poke is combinationally visible. */
+    void pokeInput(PortId port, const BitVec &value, uint32_t lane);
+    void readOutput(PortId port, uint32_t lane, BitVec &out) const;
+    void readRegister(RegId reg, uint32_t lane, BitVec &out) const;
     /** Read one entry of a memory (from any replica; the exchange
      *  keeps them identical). */
-    BitVec peekMemory(const std::string &mem, uint64_t index) const;
-
-    // -- Gang lane access (scalar poke broadcasts; scalar peeks read
-    //    lane 0; see core::SimEngine) ------------------------------------
-    void pokeLane(const std::string &input, const BitVec &value,
-                  uint32_t lane);
-    BitVec peekLane(const std::string &output, uint32_t lane) const;
-    BitVec peekRegisterLane(const std::string &reg, uint32_t lane) const;
-    BitVec peekMemoryLane(const std::string &mem, uint64_t index,
-                          uint32_t lane) const;
+    void readMemory(MemId mem, uint64_t index, uint32_t lane,
+                    BitVec &out) const;
 
     /** Serialize every shard's mutable state (count-prefixed). */
     void save(std::ostream &out) const;
-    /** Restore a checkpoint from the same compiled configuration. */
-    void restore(std::istream &in);
 
     /**
      * Read the canonical architectural state (netlist-id order, all
@@ -293,7 +279,7 @@ class ShardSet
                          uint32_t parity);
     /** (Re)publish every shard's state into the buffer the next fused
      *  cycle reads — the out-of-band path after construction, poke,
-     *  reset, restore, or in-place stepping. */
+     *  reset, importArch, or in-place stepping. */
     void publishAll();
 
     obs::SuperstepProfiler *prof_ = nullptr;

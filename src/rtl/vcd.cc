@@ -7,13 +7,13 @@ namespace parendi::rtl {
 VcdWriter::VcdWriter(std::ostream &o) : out(o) {}
 
 size_t
-VcdWriter::addSignal(const std::string &name, uint16_t width)
+VcdWriter::addSignal(const std::string &name, uint32_t width)
 {
     if (headerDone)
         fatal("VcdWriter: cannot add signals after the header");
     Signal s;
     s.name = name;
-    s.width = width;
+    s.width = static_cast<uint16_t>(width);
     s.id = idFor(signals.size());
     s.last = BitVec(width, uint64_t{0});
     signals.push_back(std::move(s));
@@ -33,7 +33,7 @@ VcdWriter::idFor(size_t index) const
 }
 
 void
-VcdWriter::writeHeader(const std::string &design)
+VcdWriter::writeHeader(const std::string &design, uint64_t)
 {
     out << "$date generated by parendi $end\n";
     out << "$version parendi rtl simulator $end\n";
@@ -94,32 +94,29 @@ VcdWriter::sample(uint64_t time, const std::vector<BitVec> &values)
     }
 }
 
-EngineTracer::EngineTracer(core::SimEngine &s, std::ostream &out)
-    : sim(s), writer(out)
+EngineTracer::EngineTracer(core::SimEngine &s, TraceSink &k)
+    : sim(s), sink(k)
 {
     const Netlist &nl = sim.netlist();
-    for (RegId r = 0; r < nl.numRegisters(); ++r) {
-        regNames.push_back(nl.reg(r).name);
-        writer.addSignal(nl.reg(r).name, nl.reg(r).width);
-    }
-    for (PortId o = 0; o < nl.numOutputs(); ++o) {
-        outNames.push_back(nl.output(o).name);
-        writer.addSignal(nl.output(o).name, nl.output(o).width);
-    }
-    writer.writeHeader(nl.name());
-    values.resize(regNames.size() + outNames.size());
+    for (RegId r = 0; r < nl.numRegisters(); ++r)
+        sink.addSignal(nl.reg(r).name, nl.reg(r).width);
+    for (PortId o = 0; o < nl.numOutputs(); ++o)
+        sink.addSignal(nl.output(o).name, nl.output(o).width);
+    sink.writeHeader(nl.name(), netlistHash(nl));
+    values.resize(nl.numRegisters() + nl.numOutputs());
     sampleNow(); // time 0: initial values
 }
 
 void
 EngineTracer::sampleNow()
 {
+    const Netlist &nl = sim.netlist();
     size_t i = 0;
-    for (const std::string &r : regNames)
-        sim.peekRegisterInto(r, values[i++]);
-    for (const std::string &o : outNames)
-        sim.peekInto(o, values[i++]);
-    writer.sample(sim.cycles(), values);
+    for (RegId r = 0; r < nl.numRegisters(); ++r)
+        sim.readRegister(r, 0, values[i++]);
+    for (PortId o = 0; o < nl.numOutputs(); ++o)
+        sim.readOutput(o, 0, values[i++]);
+    sink.sample(sim.cycles(), values);
 }
 
 void

@@ -16,29 +16,49 @@
 
 #include "core/engine.hh"
 #include "rtl/bitvec.hh"
-#include "rtl/interp.hh"
 
 namespace parendi::rtl {
 
+/**
+ * Where an EngineTracer writes: declared signals, one header, then one
+ * sample per timestep. Implemented by VcdWriter (`--vcd`) and
+ * ckpt::WaveWriter (`--wave`).
+ */
+class TraceSink
+{
+  public:
+    virtual ~TraceSink() = default;
+
+    /** Declare a signal before writeHeader(); returns its index. */
+    virtual size_t addSignal(const std::string &name, uint32_t width) = 0;
+
+    /** Emit the header. @p designHash is rtl::netlistHash of the
+     *  traced design. */
+    virtual void writeHeader(const std::string &design,
+                             uint64_t designHash) = 0;
+
+    /** Record one timestep; @p values aligned with the declared
+     *  signals. Only changes are written (all signals at the first
+     *  sample). */
+    virtual void sample(uint64_t time,
+                        const std::vector<BitVec> &values) = 0;
+};
+
 /** Low-level VCD emitter over an arbitrary signal list. */
-class VcdWriter
+class VcdWriter : public TraceSink
 {
   public:
     /** Writes to @p out (not owned; must outlive the writer). */
     explicit VcdWriter(std::ostream &out);
 
-    /** Declare a signal before writeHeader(); returns its index. */
-    size_t addSignal(const std::string &name, uint16_t width);
+    size_t addSignal(const std::string &name, uint32_t width) override;
 
-    /** Emit the VCD header ($timescale, $var declarations, ...). */
-    void writeHeader(const std::string &design);
+    /** Emit the VCD header ($timescale, $var declarations, ...). VCD
+     *  has no field for @p designHash; it is not written. */
+    void writeHeader(const std::string &design,
+                     uint64_t designHash = 0) override;
 
-    /**
-     * Record one timestep. @p values must be aligned with the
-     * declared signals; only changed values are dumped (all of them
-     * at time 0).
-     */
-    void sample(uint64_t time, const std::vector<BitVec> &values);
+    void sample(uint64_t time, const std::vector<BitVec> &values) override;
 
     size_t numSignals() const { return signals.size(); }
 
@@ -61,34 +81,30 @@ class VcdWriter
 };
 
 /**
- * Convenience tracer around any SimEngine: traces all registers and
- * output ports each cycle. Works identically for the reference
- * interpreter, the event-driven interpreter, the IPU machine, and the
- * parallel host interpreter (they are bit-identical, so so are their
- * waveforms).
+ * Traces every register (by RegId), then every output port (by
+ * PortId), of any SimEngine into a TraceSink: one sample at
+ * construction (time 0), then one per stepped cycle. The engines are
+ * bit-identical, so so are their waveforms.
  */
 class EngineTracer
 {
   public:
-    EngineTracer(core::SimEngine &sim, std::ostream &out);
+    /** @p sink is not owned and must outlive the tracer. */
+    EngineTracer(core::SimEngine &sim, TraceSink &sink);
 
-    /** Step the engine and dump one VCD timestep. */
+    /** Step the engine and record one sample per cycle. */
     void step(size_t n = 1);
 
   private:
     void sampleNow();
 
     core::SimEngine &sim;
-    VcdWriter writer;
-    std::vector<std::string> regNames;
-    std::vector<std::string> outNames;
-    /// Sampling scratch, sized once: peekInto() refills the BitVecs in
-    /// place, so steady-state tracing does not touch the heap.
+    TraceSink &sink;
+    /// Sampling scratch, sized once: the read primitives refill the
+    /// BitVecs in place, so steady-state tracing does not touch the
+    /// heap.
     std::vector<BitVec> values;
 };
-
-/// Historical name, from when only the reference interpreter traced.
-using InterpreterTracer = EngineTracer;
 
 } // namespace parendi::rtl
 

@@ -60,8 +60,8 @@ SessionManager::createSession(const std::string &designSpec,
     if (!core::tryParseEngineKind(sopt.engine, kind)) {
         if (err)
             *err = strprintf(
-                "unknown engine '%s' (expected interp|event|ipu|par|"
-                "cgen)", sopt.engine.c_str());
+                "unknown engine '%s' (expected interp|ipu|par|cgen)",
+                sopt.engine.c_str());
         return 0;
     }
 
@@ -335,7 +335,7 @@ SessionManager::restore(uint64_t id, const std::string &blob,
     uint64_t cyc = 0;
     try {
         std::istringstream is(blob);
-        s->handle->restore(is);
+        core::restoreCheckpoint(s->handle->engine(), is);
         cyc = s->handle->cycles();
     } catch (const FatalError &e) {
         ok = false;

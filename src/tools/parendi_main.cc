@@ -10,7 +10,7 @@
  *                       file: pico, rocket, bitcoin, mc, vta, srN,
  *                       lrN, prngN
  *     --cycles N        simulate N cycles (default 1000)
- *     --engine E        interp | event | ipu | par | cgen (default ipu)
+ *     --engine E        interp | ipu | par | cgen (default ipu)
  *     --threads N       host worker threads for ipu/par engines
  *     --cgen            JIT-compile shard programs to native kernels
  *                       (par engine; cgen engine implies it)
@@ -173,7 +173,7 @@ usage()
 {
     std::fprintf(stderr,
                  "usage: parendi [--cycles N] "
-                 "[--engine interp|event|ipu|par|cgen] [--threads N]\n"
+                 "[--engine interp|ipu|par|cgen] [--threads N]\n"
                  "               [--cgen] [--tiles N] [--chips N] "
                  "[--strategy B|H]\n"
                  "               [--multi pre|post|none] [--no-opt] "
@@ -554,28 +554,27 @@ main(int argc, char **argv)
                     journalOut, engine->netlist());
             }
 
-            std::ofstream vcdOut;
-            std::ofstream waveOut;
-            std::unique_ptr<rtl::EngineTracer> vcd;
-            std::unique_ptr<ckpt::WaveTracer> wave;
-            if (!args.vcdPath.empty()) {
-                vcdOut.open(args.vcdPath);
-                if (!vcdOut)
-                    fatal("cannot write %s", args.vcdPath.c_str());
-                vcd = std::make_unique<rtl::EngineTracer>(*engine,
-                                                          vcdOut);
-            } else if (!args.wavePath.empty()) {
-                waveOut.open(args.wavePath, std::ios::binary);
-                if (!waveOut)
-                    fatal("cannot write %s", args.wavePath.c_str());
-                wave = std::make_unique<ckpt::WaveTracer>(*engine,
-                                                          waveOut);
+            // --vcd and --wave trace the same signals through one
+            // tracer; only the sink differs.
+            const std::string &tracePath =
+                args.vcdPath.empty() ? args.wavePath : args.vcdPath;
+            std::ofstream traceOut;
+            std::unique_ptr<rtl::TraceSink> sink;
+            std::unique_ptr<rtl::EngineTracer> tracer;
+            if (!tracePath.empty()) {
+                traceOut.open(tracePath, std::ios::binary);
+                if (!traceOut)
+                    fatal("cannot write %s", tracePath.c_str());
+                if (!args.vcdPath.empty())
+                    sink = std::make_unique<rtl::VcdWriter>(traceOut);
+                else
+                    sink = std::make_unique<ckpt::WaveWriter>(traceOut);
+                tracer =
+                    std::make_unique<rtl::EngineTracer>(*engine, *sink);
             }
             auto stepSome = [&](uint64_t n) {
-                if (vcd)
-                    vcd->step(n);
-                else if (wave)
-                    wave->step(n);
+                if (tracer)
+                    tracer->step(n);
                 else
                     engine->step(n);
                 if (journal)
@@ -620,19 +619,12 @@ main(int argc, char **argv)
                 }
             }
 
-            if (vcd)
-                std::printf("traced %llu cycles to %s (engine %s)\n",
+            if (tracer)
+                std::printf("traced %llu cycles to %s (engine %s%s)\n",
                             static_cast<unsigned long long>(
                                 args.cycles),
-                            args.vcdPath.c_str(),
-                            engine->engineName());
-            else if (wave)
-                std::printf("traced %llu cycles to %s (engine %s, "
-                            "compressed)\n",
-                            static_cast<unsigned long long>(
-                                args.cycles),
-                            args.wavePath.c_str(),
-                            engine->engineName());
+                            tracePath.c_str(), engine->engineName(),
+                            args.vcdPath.empty() ? ", compressed" : "");
             else
                 std::printf("simulated %llu cycles (engine %s)\n",
                             static_cast<unsigned long long>(
@@ -667,7 +659,7 @@ main(int argc, char **argv)
                             obs::formatModeledVsMeasured(
                                 core::modeledSplit(*sim), rep)
                                 .c_str());
-            } else if (kind != core::EngineKind::Event) {
+            } else {
                 fiber::FiberSet fs(engine->netlist());
                 x86::DesignProfile dp = x86::profileDesign(fs);
                 x86::X86Arch arch = x86::X86Arch::ix3();

@@ -123,20 +123,19 @@ BspPool::awaitEpoch(uint64_t seen, uint32_t worker)
     // The wait is bracketed by the observer hooks so barrier time is
     // attributable per worker instead of vanishing into the
     // spin-then-futex internals. Exactly one Begin/End pair fires per
-    // epoch per worker, fast path included.
+    // epoch per worker, fast path included. End goes only to the
+    // observer that got Begin and only if it is still installed: the
+    // host may clear it (and destroy it) while this worker parks.
     BspWaitObserver *obs = observer_.load(std::memory_order_acquire);
     if (obs)
         obs->epochWaitBegin(worker);
-    for (int i = 0; i < kSpinIters; ++i) {
-        if (epoch_.load(std::memory_order_acquire) != seen) {
-            if (obs)
-                obs->epochWaitEnd(worker);
-            return;
-        }
-    }
-    while (epoch_.load(std::memory_order_acquire) == seen)
-        epoch_.wait(seen, std::memory_order_acquire);
-    if (obs)
+    bool released = false;
+    for (int i = 0; i < kSpinIters && !released; ++i)
+        released = epoch_.load(std::memory_order_acquire) != seen;
+    if (!released)
+        while (epoch_.load(std::memory_order_acquire) == seen)
+            epoch_.wait(seen, std::memory_order_acquire);
+    if (obs && observer_.load(std::memory_order_acquire) == obs)
         obs->epochWaitEnd(worker);
 }
 

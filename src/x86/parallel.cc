@@ -1,7 +1,6 @@
 #include "x86/parallel.hh"
 
 #include <algorithm>
-#include <istream>
 #include <numeric>
 #include <ostream>
 #include <thread>
@@ -168,89 +167,6 @@ ParallelInterpreter::reset()
 {
     shards_.reset();
     cycleCount_ = 0;
-}
-
-void
-ParallelInterpreter::poke(const std::string &input, const BitVec &value)
-{
-    shards_.poke(input, value);
-}
-
-void
-ParallelInterpreter::poke(const std::string &input, uint64_t value)
-{
-    shards_.poke(input, value);
-}
-
-BitVec
-ParallelInterpreter::peek(const std::string &output) const
-{
-    return shards_.peek(output);
-}
-
-BitVec
-ParallelInterpreter::peekRegister(const std::string &reg) const
-{
-    return shards_.peekRegister(reg);
-}
-
-BitVec
-ParallelInterpreter::peekMemory(const std::string &mem,
-                                uint64_t index) const
-{
-    return shards_.peekMemory(mem, index);
-}
-
-void
-ParallelInterpreter::peekInto(const std::string &output,
-                              BitVec &out) const
-{
-    shards_.peekInto(output, out);
-}
-
-void
-ParallelInterpreter::peekRegisterInto(const std::string &reg,
-                                      BitVec &out) const
-{
-    shards_.peekRegisterInto(reg, out);
-}
-
-void
-ParallelInterpreter::pokeLane(const std::string &input,
-                              const BitVec &value, uint32_t lane)
-{
-    shards_.pokeLane(input, value, lane);
-}
-
-void
-ParallelInterpreter::pokeLane(const std::string &input, uint64_t value,
-                              uint32_t lane)
-{
-    PortId id = nl_.findInput(input);
-    if (id == nl_.numInputs())
-        fatal("no input port named %s", input.c_str());
-    shards_.pokeLane(input, BitVec(nl_.input(id).width, value), lane);
-}
-
-BitVec
-ParallelInterpreter::peekLane(const std::string &output,
-                              uint32_t lane) const
-{
-    return shards_.peekLane(output, lane);
-}
-
-BitVec
-ParallelInterpreter::peekRegisterLane(const std::string &reg,
-                                      uint32_t lane) const
-{
-    return shards_.peekRegisterLane(reg, lane);
-}
-
-BitVec
-ParallelInterpreter::peekMemoryLane(const std::string &mem,
-                                    uint64_t index, uint32_t lane) const
-{
-    return shards_.peekMemoryLane(mem, index, lane);
 }
 
 bool
@@ -432,14 +348,6 @@ ParallelInterpreter::save(std::ostream &out) const
     out.write(reinterpret_cast<const char *>(&cycleCount_),
               sizeof(cycleCount_));
     shards_.save(out);
-}
-
-void
-ParallelInterpreter::restore(std::istream &in)
-{
-    in.read(reinterpret_cast<char *>(&cycleCount_),
-            sizeof(cycleCount_));
-    shards_.restore(in);
 }
 
 } // namespace parendi::rtl

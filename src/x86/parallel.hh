@@ -57,8 +57,8 @@ struct ParConfig
      * dispatch has exactly one caller, so hosts must serialize step()
      * calls across every engine on the pool (the scheduler thread).
      * step() is the only entry point that dispatches on the pool —
-     * construction, reset(), restore() and importArch() run on the
-     * calling thread — and enableProfiling() does not install a pool
+     * construction, reset(), poke and importArch() run on the calling
+     * thread — and enableProfiling() does not install a pool
      * wait observer on a shared pool.
      */
     std::shared_ptr<util::BspPool> pool;
@@ -107,28 +107,29 @@ class ParallelInterpreter : public core::SimEngine
     void reset() override;
     uint64_t cycles() const override { return cycleCount_; }
 
-    void poke(const std::string &input, const BitVec &value) override;
-    void poke(const std::string &input, uint64_t value) override;
-    BitVec peek(const std::string &output) const override;
-    BitVec peekRegister(const std::string &reg) const override;
-    BitVec peekMemory(const std::string &mem,
-                      uint64_t index) const override;
-    void peekInto(const std::string &output, BitVec &out) const override;
-    void peekRegisterInto(const std::string &reg,
-                          BitVec &out) const override;
-
-    // Gang lane access (see SimEngine); forwards to the shard set.
+    // Host access (see SimEngine); forwards to the shard set.
     uint32_t replicas() const override { return shards_.lanes(); }
-    void pokeLane(const std::string &input, const BitVec &value,
-                  uint32_t lane) override;
-    void pokeLane(const std::string &input, uint64_t value,
-                  uint32_t lane) override;
-    BitVec peekLane(const std::string &output,
-                    uint32_t lane) const override;
-    BitVec peekRegisterLane(const std::string &reg,
-                            uint32_t lane) const override;
-    BitVec peekMemoryLane(const std::string &mem, uint64_t index,
-                          uint32_t lane) const override;
+    void
+    pokeInput(PortId port, const BitVec &value, uint32_t lane) override
+    {
+        shards_.pokeInput(port, value, lane);
+    }
+    void
+    readOutput(PortId port, uint32_t lane, BitVec &out) const override
+    {
+        shards_.readOutput(port, lane, out);
+    }
+    void
+    readRegister(RegId reg, uint32_t lane, BitVec &out) const override
+    {
+        shards_.readRegister(reg, lane, out);
+    }
+    void
+    readMemory(MemId mem, uint64_t index, uint32_t lane,
+               BitVec &out) const override
+    {
+        shards_.readMemory(mem, index, lane, out);
+    }
 
     /**
      * Compile every shard program to a native kernel (one TU, one
@@ -190,21 +191,14 @@ class ParallelInterpreter : public core::SimEngine
     }
 
     /** Checkpoint all simulation state (including the cycle count);
-     *  compatible only with the same design at the same shard count. */
+     *  layout-specific to the design and shard count. */
     void save(std::ostream &out) const;
-    void restore(std::istream &in);
 
-    /** Engine-agnostic checkpointing (see SimEngine). */
+    /** Raw state blob (see SimEngine::saveState). */
     bool
     saveState(std::ostream &out) const override
     {
         save(out);
-        return true;
-    }
-    bool
-    restoreState(std::istream &in) override
-    {
-        restore(in);
         return true;
     }
 

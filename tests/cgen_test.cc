@@ -16,6 +16,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "core/session.hh"
 #include "designs/designs.hh"
 #include "random_netlist.hh"
 #include "rtl/cgen.hh"
@@ -299,9 +300,9 @@ TEST(Cgen, NativeStateSurvivesResetAndCheckpoint)
     compareEngines(cg, ref, "after reset");
 
     std::stringstream ckpt;
-    cg.save(ckpt);
+    core::saveCheckpoint(cg, ckpt);
     cg.step(5);
-    cg.restore(ckpt);
+    core::restoreCheckpoint(cg, ckpt);
     ref.step(0);
     compareEngines(cg, ref, "after restore");
     cg.step(7);

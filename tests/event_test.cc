@@ -8,6 +8,9 @@
 
 #include <gtest/gtest.h>
 
+#include <sstream>
+
+#include "core/session.hh"
 #include "designs/designs.hh"
 #include "random_netlist.hh"
 #include "rtl/event.hh"
@@ -98,6 +101,35 @@ TEST_P(EventDesigns, AgreesWithFullCycle)
     }
     EXPECT_GT(ev.activityFactor(), 0.0);
     EXPECT_LE(ev.activityFactor(), 1.0);
+}
+
+TEST_P(EventDesigns, CheckpointsRoundTripThroughInterp)
+{
+    // The witness imports any engine's v2 checkpoint (importArch
+    // settles its change-detection shadow, so selective propagation
+    // resumes from the imported values) and exports its own.
+    Netlist nl = GetParam().make();
+    Interpreter full(nl);
+    EventInterpreter ev(std::move(nl));
+    full.step(90);
+    std::stringstream snap;
+    core::saveCheckpoint(full, snap);
+    core::restoreCheckpoint(ev, snap);
+    EXPECT_EQ(ev.cycles(), 90u);
+    for (int chunk = 0; chunk < 2; ++chunk) {
+        ev.step(60);
+        full.step(60);
+        expectSameState(ev, full);
+    }
+
+    std::stringstream back;
+    core::saveCheckpoint(ev, back);
+    Interpreter again(full.netlist());
+    core::restoreCheckpoint(again, back);
+    EXPECT_EQ(again.cycles(), full.cycles());
+    ev.step(30);
+    again.step(30);
+    expectSameState(ev, again);
 }
 
 namespace {

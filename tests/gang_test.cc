@@ -16,6 +16,7 @@
 #include <sstream>
 #include <vector>
 
+#include "core/session.hh"
 #include "designs/designs.hh"
 #include "random_netlist.hh"
 #include "rtl/cgen.hh"
@@ -266,9 +267,9 @@ TEST(Gang, StateSurvivesResetAndCheckpoint)
             at10.push_back(gang.peekLane(nl.output(o).name, l));
 
     std::stringstream ckpt;
-    gang.save(ckpt);
+    core::saveCheckpoint(gang, ckpt);
     gang.step(9);
-    gang.restore(ckpt);
+    core::restoreCheckpoint(gang, ckpt);
     size_t k = 0;
     for (uint32_t l = 0; l < 4; ++l)
         for (rtl::PortId o = 0; o < nl.numOutputs(); ++o)
@@ -299,14 +300,14 @@ TEST(Gang, CgenStateSurvivesResetAndCheckpoint)
     gang.step(8);
 
     std::stringstream ckpt;
-    gang.save(ckpt);
+    core::saveCheckpoint(gang, ckpt);
     std::vector<BitVec> snap;
     for (uint32_t l = 0; l < 4; ++l)
         for (rtl::RegId r = 0; r < nl.numRegisters(); ++r)
             snap.push_back(gang.peekRegisterLane(nl.reg(r).name, l));
 
     gang.step(6);
-    gang.restore(ckpt);
+    core::restoreCheckpoint(gang, ckpt);
     size_t k = 0;
     for (uint32_t l = 0; l < 4; ++l)
         for (rtl::RegId r = 0; r < nl.numRegisters(); ++r)
@@ -343,13 +344,13 @@ TEST(Gang, ParallelCheckpointRoundTripsAllLanes)
     gang.step(7);
 
     std::stringstream ckpt;
-    gang.save(ckpt);
+    core::saveCheckpoint(gang, ckpt);
     std::vector<BitVec> snap;
     for (uint32_t l = 0; l < 4; ++l)
         for (rtl::PortId o = 0; o < nl.numOutputs(); ++o)
             snap.push_back(gang.peekLane(nl.output(o).name, l));
     gang.step(4);
-    gang.restore(ckpt);
+    core::restoreCheckpoint(gang, ckpt);
     size_t k = 0;
     for (uint32_t l = 0; l < 4; ++l)
         for (rtl::PortId o = 0; o < nl.numOutputs(); ++o)

@@ -20,6 +20,7 @@
 
 #include "core/compiler.hh"
 #include "core/engine.hh"
+#include "core/session.hh"
 #include "random_netlist.hh"
 #include "rtl/interp.hh"
 #include "util/bsp_pool.hh"
@@ -144,9 +145,9 @@ TEST_P(ParallelEquiv, FusedMatchesReferenceAcrossBatchShapes)
         // Checkpoint round-trip mid-run: restore must re-publish
         // before the next fused batch.
         std::stringstream snap;
-        par.save(snap);
+        core::saveCheckpoint(par, snap);
         par.step(5);
-        par.restore(snap);
+        core::restoreCheckpoint(par, snap);
         ref.step(5);
         par.step(5);
         compareAllState(par, ref, "par after restore");
@@ -182,10 +183,10 @@ TEST(ParallelInterpreter, PokeResetAndCheckpoint)
     EXPECT_EQ(sim.peek("acc").toUint64(), 12u);
 
     std::stringstream snap;
-    sim.save(snap);
+    core::saveCheckpoint(sim, snap);
     sim.step(2);
     EXPECT_EQ(sim.peek("acc").toUint64(), 18u);
-    sim.restore(snap);
+    core::restoreCheckpoint(sim, snap);
     EXPECT_EQ(sim.cycles(), 4u);
     EXPECT_EQ(sim.peek("acc").toUint64(), 12u);
 
@@ -212,7 +213,7 @@ TEST(ParallelEquiv, EngineFactoryBuildsEveryKind)
     Netlist nl = randomNetlist(7);
     Interpreter ref(nl);
     ref.step(20);
-    for (const char *name : {"interp", "event", "ipu", "par"}) {
+    for (const char *name : {"interp", "ipu", "par", "cgen"}) {
         core::EngineOptions opt;
         opt.kind = core::parseEngineKind(name);
         opt.threads = 2;
@@ -227,6 +228,8 @@ TEST(ParallelEquiv, EngineFactoryBuildsEveryKind)
         }
     }
     EXPECT_THROW(core::parseEngineKind("verilator"), FatalError);
+    // The event-driven witness is built directly, never by the factory.
+    EXPECT_THROW(core::parseEngineKind("event"), FatalError);
 }
 
 TEST(BspPool, ManySuperstepsKeepWorkersInLockstep)

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "rtl/dsl.hh"
+#include "rtl/interp.hh"
 #include "rtl/vcd.hh"
 #include "util/logging.hh"
 
@@ -89,7 +90,8 @@ TEST(Vcd, TracerFollowsInterpreter)
     Interpreter sim(d.finish());
 
     std::ostringstream out;
-    InterpreterTracer tracer(sim, out);
+    VcdWriter vcd(out);
+    EngineTracer tracer(sim, vcd);
     tracer.step(3);
     std::string s = out.str();
     // Signals cnt and v both declared.

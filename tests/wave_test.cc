@@ -33,13 +33,15 @@ traceBoth(const Netlist &nl, size_t cycles)
     std::stringstream vcd;
     {
         Interpreter sim(nl);
-        rtl::EngineTracer tracer(sim, vcd);
+        rtl::VcdWriter sink(vcd);
+        rtl::EngineTracer tracer(sim, sink);
         tracer.step(cycles);
     }
     std::stringstream wave;
     {
         Interpreter sim(nl);
-        ckpt::WaveTracer tracer(sim, wave);
+        ckpt::WaveWriter sink(wave);
+        rtl::EngineTracer tracer(sim, sink);
         tracer.step(cycles);
     }
     return {vcd.str(), wave.str()};
