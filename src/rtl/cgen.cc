@@ -1,10 +1,12 @@
 #include "rtl/cgen.hh"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <sstream>
+#include <thread>
 
 #include "util/logging.hh"
 
@@ -13,8 +15,11 @@
 // so every caller falls back to the interpreter.
 #if __has_include(<dlfcn.h>)
 #include <dlfcn.h>
+#include <spawn.h>
+#include <sys/wait.h>
 #include <unistd.h>
 #define PARENDI_CGEN_HAVE_DLOPEN 1
+extern char **environ;
 #else
 #define PARENDI_CGEN_HAVE_DLOPEN 0
 #endif
@@ -1038,10 +1043,54 @@ emitInstrGang(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
     }
 }
 
-/** Straight-line instruction count per generated static function.
- *  Chunking keeps single-function optimization time linear for very
- *  large programs; call overhead is negligible at this granularity. */
+/** Straight-line instruction count per generated chunk function.
+ *  Optimization time per function grows faster than linearly with its
+ *  size, so chunking bounds it for very large programs, and chunks are
+ *  what the split build spreads over units; call overhead is
+ *  negligible at this granularity. */
 constexpr size_t kChunkInstrs = 512;
+
+/** Chunk functions are external (so an entry in one unit can call a
+ *  chunk in another) but hidden (so the .so exports only the entries). */
+const char *const kHidden = "__attribute__((visibility(\"hidden\"))) ";
+
+/**
+ * The TU under construction: every top-level function goes to `body`
+ * in text order, bracketed by open()/close() so the split build gets
+ * its spans and weights from the emitter instead of re-parsing text;
+ * chunk functions are also declared in `decls`, which follows the
+ * preamble in every unit.
+ */
+struct TuWriter
+{
+    std::ostringstream body;
+    std::ostringstream decls;
+    std::vector<CgenFunction> funcs;
+
+    std::ostream &
+    open(bool chunk)
+    {
+        CgenFunction f;
+        f.begin = static_cast<size_t>(body.tellp());
+        f.chunk = chunk;
+        funcs.push_back(f);
+        return body;
+    }
+
+    /** Open chunk function @p sig ("<ret> <name>(<params>)"). */
+    std::ostream &
+    openChunk(const std::string &sig)
+    {
+        decls << kHidden << sig << ";\n";
+        return open(true) << "\n" << kHidden << sig << "\n{\n";
+    }
+
+    void
+    close()
+    {
+        funcs.back().end = static_cast<size_t>(body.tellp());
+    }
+};
 
 const char *
 envOr(const char *name, const char *fallback)
@@ -1067,6 +1116,33 @@ resolveBuildDir(const CgenOptions &opt)
         "/parendi-cgen";
     return envOr("PARENDI_CGEN_DIR", dflt.c_str());
 }
+
+#if PARENDI_CGEN_HAVE_DLOPEN
+/** Start `/bin/sh -c @p command`; -1 if it cannot be started. */
+pid_t
+spawnShell(const std::string &command)
+{
+    const char *argv[] = {"sh", "-c", command.c_str(), nullptr};
+    pid_t pid = -1;
+    int rc = posix_spawn(&pid, "/bin/sh", nullptr, nullptr,
+                         const_cast<char *const *>(argv), environ);
+    return rc == 0 ? pid : -1;
+}
+
+/** Reap @p pid (from spawnShell); its wait status, 0 on success and
+ *  -1 when it never started or cannot be reaped. */
+int
+waitShell(pid_t pid)
+{
+    if (pid < 0)
+        return -1;
+    int status = 0;
+    while (waitpid(pid, &status, 0) < 0)
+        if (errno != EINTR)
+            return -1;
+    return status;
+}
+#endif
 
 } // namespace
 
@@ -1128,8 +1204,9 @@ class DirArtifactCache : public ArtifactCache
  *  out-of-range drop. Gang (@p L > 1) applies each port per lane over
  *  the lane-major layout (addresses diverge across lanes). */
 static void
-emitCommit(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
+emitCommit(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
 {
+    std::ostream &o = tu.open(false);
     o << "\nextern \"C\" void parendi_commit_" << p
       << "(uint64_t *s, uint64_t *const *m)\n{\n"
       << "    (void)s;\n    (void)m;\n";
@@ -1178,6 +1255,7 @@ emitCommit(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
         o << "    }\n";
     }
     o << "}\n";
+    tu.close();
 }
 
 /** Port of EvalState::latchRegisters(): next -> cur for owned
@@ -1186,7 +1264,7 @@ emitCommit(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
  *  next slot actually overlaps some cur slot (the swap case), which
  *  the emitter can decide ahead of time. */
 static void
-emitLatch(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
+emitLatch(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
 {
     struct Run
     {
@@ -1219,6 +1297,7 @@ emitLatch(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
     auto PLL = [L](uint32_t slot) {
         return "s + " + std::to_string(uint64_t(slot) * L);
     };
+    std::ostream &o = tu.open(false);
     o << "\nextern \"C\" void parendi_latch_" << p
       << "(uint64_t *s, uint64_t *const *m)\n{\n"
       << "    (void)s;\n    (void)m;\n";
@@ -1242,6 +1321,7 @@ emitLatch(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
               << ", " << uint64_t(r.words) * L << ");\n";
     }
     o << "}\n";
+    tu.close();
 }
 
 /**
@@ -1255,7 +1335,7 @@ emitLatch(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
  * unguarded latch.
  */
 static void
-emitLatchAct(std::ostream &o, size_t p, const EvalProgram &prog,
+emitLatchAct(TuWriter &tu, size_t p, const EvalProgram &prog,
              uint32_t L)
 {
     struct RegRun
@@ -1282,6 +1362,7 @@ emitLatchAct(std::ostream &o, size_t p, const EvalProgram &prog,
     auto PLL = [L](uint32_t slot) {
         return "s + " + std::to_string(uint64_t(slot) * L);
     };
+    std::ostream &o = tu.open(false);
     o << "\nextern \"C\" void parendi_latch_act_" << p
       << "(uint64_t *s, uint8_t *d)\n{\n"
       << "    (void)s;\n    (void)d;\n";
@@ -1318,6 +1399,7 @@ emitLatchAct(std::ostream &o, size_t p, const EvalProgram &prog,
         }
     }
     o << "}\n";
+    tu.close();
 }
 
 /**
@@ -1326,12 +1408,11 @@ emitLatchAct(std::ostream &o, size_t p, const EvalProgram &prog,
  * guard. A group that runs clears its own byte, marks every successor
  * (always a later group, so one forward pass suffices — same invariant
  * as EvalState::evalActive) and accounts (1 << 32) | instrs into the
- * packed return value. Chunked into whole-group static functions so
- * single-function optimization time stays linear, like the unguarded
- * emission.
+ * packed return value. Chunked into whole-group chunk functions, like
+ * the unguarded emission.
  */
 static void
-emitEvalAct(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
+emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
 {
     const ActivityPlan &ap = prog.activity;
     const size_t ngroups = ap.numGroups();
@@ -1343,9 +1424,10 @@ emitEvalAct(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
     }
     size_t numChunks = (ngroups + groupsPerChunk - 1) / groupsPerChunk;
     for (size_t ck = 0; ck < numChunks; ++ck) {
-        o << "\nstatic uint64_t pea" << p << "_c" << ck
-          << "(uint64_t *s, uint64_t *const *m, uint8_t *d)\n{\n"
-          << "    (void)s;\n    (void)m;\n    uint64_t r = 0;\n";
+        std::ostream &o = tu.openChunk(
+            "uint64_t pea" + std::to_string(p) + "_c" + std::to_string(ck) +
+            "(uint64_t *s, uint64_t *const *m, uint8_t *d)");
+        o << "    (void)s;\n    (void)m;\n    uint64_t r = 0;\n";
         size_t gLo = ck * groupsPerChunk;
         size_t gHi = std::min(gLo + groupsPerChunk, ngroups);
         for (size_t g = gLo; g < gHi; ++g) {
@@ -1379,7 +1461,9 @@ emitEvalAct(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
               << "    }\n";
         }
         o << "    return r;\n}\n";
+        tu.close();
     }
+    std::ostream &o = tu.open(false);
     o << "\nextern \"C\" uint64_t parendi_eval_act_" << p
       << "(uint64_t *slots, uint64_t *const *mems, uint8_t *dirty)\n{\n";
     if (numChunks == 0) {
@@ -1393,25 +1477,31 @@ emitEvalAct(std::ostream &o, size_t p, const EvalProgram &prog, uint32_t L)
         o << "    return r;\n";
     }
     o << "}\n";
+    tu.close();
 }
 
-std::string
-cgenEmitSource(const std::vector<const EvalProgram *> &progs,
-               uint32_t lanes)
+size_t
+CgenSource::numChunks() const
+{
+    return static_cast<size_t>(
+        std::count_if(functions.begin(), functions.end(),
+                      [](const CgenFunction &f) { return f.chunk; }));
+}
+
+CgenSource
+cgenEmit(const std::vector<const EvalProgram *> &progs, uint32_t lanes)
 {
     const uint32_t L = lanes ? lanes : 1;
-    std::ostringstream out;
-    out << kPreamble;
-    if (L > 1)
-        out << kGangPreamble;
+    TuWriter tu;
     for (size_t p = 0; p < progs.size(); ++p) {
         const EvalProgram &prog = *progs[p];
         size_t numInstrs = prog.instrs.size();
         size_t numChunks = (numInstrs + kChunkInstrs - 1) / kChunkInstrs;
         for (size_t ck = 0; ck < numChunks; ++ck) {
-            out << "\nstatic void pe" << p << "_c" << ck
-                << "(uint64_t *s, uint64_t *const *m)\n{\n"
-                << "    (void)s;\n    (void)m;\n";
+            std::ostream &out = tu.openChunk(
+                "void pe" + std::to_string(p) + "_c" + std::to_string(ck) +
+                "(uint64_t *s, uint64_t *const *m)");
+            out << "    (void)s;\n    (void)m;\n";
             size_t lo = ck * kChunkInstrs;
             size_t hi = std::min(lo + kChunkInstrs, numInstrs);
             if (L == 1) {
@@ -1439,7 +1529,9 @@ cgenEmitSource(const std::vector<const EvalProgram *> &progs,
                 }
             }
             out << "}\n";
+            tu.close();
         }
+        std::ostream &out = tu.open(false);
         out << "\nextern \"C\" void parendi_eval_" << p
             << "(uint64_t *slots, uint64_t *const *mems)\n{\n";
         if (numChunks == 0)
@@ -1447,17 +1539,63 @@ cgenEmitSource(const std::vector<const EvalProgram *> &progs,
         for (size_t ck = 0; ck < numChunks; ++ck)
             out << "    pe" << p << "_c" << ck << "(slots, mems);\n";
         out << "}\n";
-        emitCommit(out, p, prog, L);
-        emitLatch(out, p, prog, L);
+        tu.close();
+        emitCommit(tu, p, prog, L);
+        emitLatch(tu, p, prog, L);
         // The act entries are emitted only for programs carrying a
         // built plan; their presence changes the source text and thus
         // the content key, so plan/no-plan builds never collide.
         if (prog.activity.built) {
-            emitEvalAct(out, p, prog, L);
-            emitLatchAct(out, p, prog, L);
+            emitEvalAct(tu, p, prog, L);
+            emitLatchAct(tu, p, prog, L);
         }
     }
-    return out.str();
+
+    CgenSource src;
+    src.text = kPreamble;
+    if (L > 1)
+        src.text += kGangPreamble;
+    std::string decls = tu.decls.str();
+    if (!decls.empty())
+        src.text += "\n" + decls;
+    src.headerEnd = src.text.size();
+    src.text += tu.body.str();
+    src.functions = std::move(tu.funcs);
+    for (CgenFunction &f : src.functions) {
+        f.begin += src.headerEnd;
+        f.end += src.headerEnd;
+    }
+    return src;
+}
+
+std::string
+cgenEmitSource(const std::vector<const EvalProgram *> &progs,
+               uint32_t lanes)
+{
+    return cgenEmit(progs, lanes).text;
+}
+
+std::vector<std::vector<size_t>>
+cgenAssignUnits(const std::vector<uint64_t> &weights, size_t units)
+{
+    units = std::max<size_t>(1, std::min(units, weights.size()));
+    std::vector<size_t> order(weights.size());
+    for (size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    std::stable_sort(order.begin(), order.end(), [&](size_t a, size_t b) {
+        return weights[a] > weights[b];
+    });
+    std::vector<std::vector<size_t>> out(units);
+    std::vector<uint64_t> load(units, 0);
+    for (size_t f : order) {
+        size_t u = static_cast<size_t>(
+            std::min_element(load.begin(), load.end()) - load.begin());
+        out[u].push_back(f);
+        load[u] += weights[f];
+    }
+    for (std::vector<size_t> &unit : out)
+        std::sort(unit.begin(), unit.end());
+    return out;
 }
 
 CgenModule::~CgenModule()
@@ -1482,7 +1620,7 @@ CgenModule::compile(const std::vector<const EvalProgram *> &progs,
     namespace fs = std::filesystem;
 
     const uint32_t lanes = opt.lanes ? opt.lanes : 1;
-    std::string src = cgenEmitSource(progs, lanes);
+    CgenSource src = cgenEmit(progs, lanes);
     std::string cxx = resolveCxx(opt);
     std::string cmd = cxx + " -O2 -fPIC -shared -std=c++17";
     // Gang kernels live or die by the lane loops vectorizing; the .so
@@ -1500,38 +1638,96 @@ CgenModule::compile(const std::vector<const EvalProgram *> &progs,
     // builds of one design can never collide in a shared store.
     std::string laneTag =
         "lanes=" + std::to_string(lanes) + ";soa=1";
-    uint64_t key = cgenHash(src + '\x1f' + cmd + '\x1f' + laneTag);
+    uint64_t key = cgenHash(src.text + '\x1f' + cmd + '\x1f' + laneTag);
     bool built = false;
 
-    // The builder: everything that happens on a cache miss. Build
-    // under pid-unique names and publish the object with an atomic
+    // The split: one unit per core, each holding a deterministic LPT
+    // share of the top-level functions. U is a build schedule, not
+    // content, so it stays out of the key.
+    std::vector<uint64_t> weights;
+    weights.reserve(src.functions.size());
+    for (const CgenFunction &f : src.functions)
+        weights.push_back(f.end - f.begin);
+    size_t cores = std::max(1u, std::thread::hardware_concurrency());
+    std::vector<std::vector<size_t>> units = cgenAssignUnits(
+        weights, std::max<size_t>(1, std::min(cores, src.numChunks())));
+
+    // The builder: everything that happens on a cache miss. Every unit
+    // compiles concurrently (`cmd -c`), one link makes the object, all
+    // under pid-unique names; the object is published with an atomic
     // rename, so concurrent processes racing on the same cache entry
     // never observe a half-written .so.
     auto build = [&](const std::string &so) -> bool {
         std::error_code ec;
         std::string stem = so.size() > 3 ? so.substr(0, so.size() - 3)
                                          : so;
-        std::string tag = strprintf(".%ld", static_cast<long>(getpid()));
-        std::string srcPath = stem + tag + ".cc";
-        std::string soTmp = stem + tag + ".so";
-        std::string logPath = stem + tag + ".log";
-        {
-            std::ofstream f(srcPath, std::ios::trunc);
-            f << src;
+        std::string tmp =
+            stem + strprintf(".%ld", static_cast<long>(getpid()));
+        std::string soTmp = tmp + ".so";
+        std::string linkLog = tmp + ".log";
+        const size_t n = units.size();
+        auto unitPath = [&](size_t u, const char *ext) {
+            return tmp + ".u" + std::to_string(u) + ext;
+        };
+        // Drop every unit source, object and log (but @p keepLog's).
+        auto removeUnits = [&](size_t keepLog) {
+            for (size_t u = 0; u < n; ++u) {
+                fs::remove(unitPath(u, ".cc"), ec);
+                fs::remove(unitPath(u, ".o"), ec);
+                if (u != keepLog)
+                    fs::remove(unitPath(u, ".log"), ec);
+            }
+        };
+
+        for (size_t u = 0; u < n; ++u) {
+            std::ofstream f(unitPath(u, ".cc"), std::ios::trunc);
+            f.write(src.text.data(),
+                    static_cast<std::streamsize>(src.headerEnd));
+            for (size_t fi : units[u]) {
+                const CgenFunction &fn = src.functions[fi];
+                f.write(src.text.data() + fn.begin,
+                        static_cast<std::streamsize>(fn.end - fn.begin));
+            }
             f.flush();
             if (!f) {
                 warn("cgen: cannot write %s; using the interpreter",
-                     srcPath.c_str());
+                     unitPath(u, ".cc").c_str());
+                removeUnits(n);
                 return false;
             }
         }
-        std::string full = cmd + " -o " + soTmp + " " + srcPath +
-            " 2> " + logPath;
-        int rc = std::system(full.c_str());
+        std::vector<pid_t> pids(n);
+        for (size_t u = 0; u < n; ++u)
+            pids[u] = spawnShell(cmd + " -c -o " + unitPath(u, ".o") +
+                                 " " + unitPath(u, ".cc") + " 2> " +
+                                 unitPath(u, ".log"));
+        size_t failed = n;
+        int rc = 0;
+        for (size_t u = 0; u < n; ++u) {
+            int st = waitShell(pids[u]);
+            if (st != 0 && failed == n) {
+                failed = u;
+                rc = st;
+            }
+        }
+        if (failed != n) {
+            std::string log = unitPath(failed, ".log");
+            warn("cgen: compile of unit %zu of %zu failed (\"%s\", "
+                 "status %d, log %s); using the interpreter",
+                 failed, n, cxx.c_str(), rc, log.c_str());
+            removeUnits(failed);
+            return false;
+        }
+        std::string objs;
+        for (size_t u = 0; u < n; ++u)
+            objs += " " + unitPath(u, ".o");
+        rc = waitShell(
+            spawnShell(cmd + " -o " + soTmp + objs + " 2> " + linkLog));
+        removeUnits(n);
         if (rc != 0) {
-            warn("cgen: compile failed (\"%s\", status %d, log %s); "
+            warn("cgen: link failed (\"%s\", status %d, log %s); "
                  "using the interpreter",
-                 cxx.c_str(), rc, logPath.c_str());
+                 cxx.c_str(), rc, linkLog.c_str());
             fs::remove(soTmp, ec);
             return false;
         }
@@ -1541,10 +1737,14 @@ CgenModule::compile(const std::vector<const EvalProgram *> &progs,
                  so.c_str(), ec.message().c_str());
             return false;
         }
-        // Keep the source next to the object for debugging; drop the
-        // (empty on success) compiler log.
-        fs::rename(srcPath, stem + ".cc", ec);
-        fs::remove(logPath, ec);
+        // Keep the whole TU next to the object for debugging; drop the
+        // (empty on success) link log.
+        {
+            std::ofstream f(tmp + ".cc", std::ios::trunc);
+            f << src.text;
+        }
+        fs::rename(tmp + ".cc", stem + ".cc", ec);
+        fs::remove(linkLog, ec);
         built = true;
         return true;
     };
@@ -1578,6 +1778,7 @@ CgenModule::compile(const std::vector<const EvalProgram *> &progs,
     std::shared_ptr<CgenModule> mod(new CgenModule());
     mod->handle_ = handle;
     mod->objectPath_ = so;
+    mod->numUnits_ = units.size();
     for (size_t i = 0; i < progs.size(); ++i) {
         CgenEntry e;
         struct

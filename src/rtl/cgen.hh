@@ -27,7 +27,9 @@
  *
  * Compiled objects are cached by a hash of the generated source plus
  * the compiler command under a build directory, so repeated runs of
- * the same design skip the compiler entirely.
+ * the same design skip the compiler entirely. A miss splits the one
+ * emitted TU into per-core units (see cgenAssignUnits), compiles them
+ * concurrently and links them into the one shared object.
  */
 
 #ifndef PARENDI_RTL_CGEN_HH
@@ -143,6 +145,11 @@ class CgenModule
     const CgenEntry &entry(size_t i) const { return entries_[i]; }
     const std::string &objectPath() const { return objectPath_; }
 
+    /** Translation units the object is built from on a miss:
+     *  min(hardware threads, chunk functions), at least 1. A build
+     *  schedule of this host, not part of the content key. */
+    size_t numUnits() const { return numUnits_; }
+
     /**
      * Emit, compile and load kernels for @p progs (one entry per
      * program, in order). Returns nullptr — after a warn() describing
@@ -160,6 +167,30 @@ class CgenModule
     void *handle_ = nullptr;
     std::vector<CgenEntry> entries_;
     std::string objectPath_;
+    size_t numUnits_ = 1;
+};
+
+/** One top-level function of an emitted TU. Its source bytes
+ *  (end - begin) are the compile-cost weight the split build packs. */
+struct CgenFunction
+{
+    size_t begin = 0, end = 0;  ///< byte span in CgenSource::text
+    bool chunk = false;         ///< a hidden pe/pea chunk function
+};
+
+/**
+ * An emitted TU together with its function layout, so the split build
+ * never re-parses text: `text[0, headerEnd)` is the preamble plus the
+ * declarations of every chunk function (the prefix of every unit), and
+ * `functions` tile `[headerEnd, text.size())` in text order.
+ */
+struct CgenSource
+{
+    std::string text;
+    size_t headerEnd = 0;
+    std::vector<CgenFunction> functions;
+
+    size_t numChunks() const;
 };
 
 /**
@@ -173,6 +204,20 @@ class CgenModule
  */
 std::string cgenEmitSource(const std::vector<const EvalProgram *> &progs,
                            uint32_t lanes = 1);
+
+/** cgenEmitSource with the function layout the split build uses. */
+CgenSource cgenEmit(const std::vector<const EvalProgram *> &progs,
+                    uint32_t lanes = 1);
+
+/**
+ * Deterministic LPT packing of functions into @p units translation
+ * units: heaviest first (ties by function index), each to the
+ * least-loaded unit (ties by unit index). Returns each unit's function
+ * indices in ascending (text) order. With units <= weights.size() and
+ * positive weights no unit is empty.
+ */
+std::vector<std::vector<size_t>>
+cgenAssignUnits(const std::vector<uint64_t> &weights, size_t units);
 
 /** 64-bit FNV-1a of a byte string (the compile-cache key). */
 uint64_t cgenHash(const std::string &bytes);
@@ -188,9 +233,9 @@ bool cgenAttach(EvalState &state, const EvalProgram &prog,
                 const CgenOptions &opt = CgenOptions{});
 
 /**
- * Compile every shard program of @p shards into ONE translation unit
- * (one compiler invocation however many shards) and install a kernel
- * per shard state. Returns the number of shards now running natively:
+ * Compile every shard program of @p shards into ONE shared object
+ * (one emitted TU, built as per-core units) and install a kernel per
+ * shard state. Returns the number of shards now running natively:
  * all of them, or 0 on fallback.
  */
 size_t cgenAttachShards(ShardSet &shards,

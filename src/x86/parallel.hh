@@ -132,10 +132,11 @@ class ParallelInterpreter : public core::SimEngine
     }
 
     /**
-     * Compile every shard program to a native kernel (one TU, one
-     * compiler invocation; see rtl/cgen) and install them on the shard
-     * states, so the BSP evaluate phase runs emitted code while
-     * commit/latch/exchange stay on the deterministic host paths.
+     * Compile every shard program to a native kernel (one TU, built
+     * as per-core units into one object; see rtl/cgen) and install
+     * them on the shard states, so the BSP evaluate phase runs emitted
+     * code while commit/latch/exchange stay on the deterministic host
+     * paths.
      * Returns the number of shards running natively: all, or 0 after a
      * warning when no toolchain is available (the engine keeps working
      * on the fused interpreter).

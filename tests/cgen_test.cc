@@ -8,19 +8,27 @@
  * ShardSet-based parallel engine. The fallback contract is tested by
  * pointing the backend at a compiler that does not exist: the engine
  * must warn, keep simulating on the interpreter, and stay correct.
+ * The split build (one TU compiled as per-core units and linked once)
+ * is pinned the same way: split-built kernels against the generic
+ * interpreter, and a compiler that fails on a single unit.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <filesystem>
+#include <fstream>
+#include <set>
 #include <sstream>
+#include <thread>
 
+#include "ckpt/snapshot.hh"
 #include "core/session.hh"
 #include "designs/designs.hh"
 #include "random_netlist.hh"
 #include "rtl/cgen.hh"
 #include "rtl/interp.hh"
+#include "serve/artifact.hh"
 #include "x86/parallel.hh"
 
 using namespace parendi;
@@ -308,4 +316,167 @@ TEST(Cgen, NativeStateSurvivesResetAndCheckpoint)
     cg.step(7);
     ref.step(7);
     compareEngines(cg, ref, "after restore + step");
+}
+
+TEST(Cgen, AssignUnitsIsDeterministicLpt)
+{
+    // Heaviest first (ties by index), each to the least-loaded unit
+    // (ties by unit index): 1,3,7,5,0,4,6,2 land on 0,1,2,2,0,1,1,0.
+    std::vector<uint64_t> w{5, 9, 1, 9, 3, 7, 2, 8};
+    auto units = rtl::cgenAssignUnits(w, 3);
+    std::vector<std::vector<size_t>> expect{{0, 1, 2}, {3, 4, 6}, {5, 7}};
+    EXPECT_EQ(units, expect);
+    EXPECT_EQ(rtl::cgenAssignUnits(w, 3), units);
+
+    for (size_t n = 0; n <= w.size() + 2; ++n) {
+        auto us = rtl::cgenAssignUnits(w, n);
+        EXPECT_EQ(us.size(), std::max<size_t>(1, std::min(n, w.size())));
+        std::multiset<size_t> seen;
+        for (const auto &u : us) {
+            EXPECT_FALSE(u.empty()) << n << " units";
+            seen.insert(u.begin(), u.end());
+        }
+        // Every function lands in exactly one unit.
+        EXPECT_EQ(seen.size(), w.size());
+        for (size_t f = 0; f < w.size(); ++f)
+            EXPECT_EQ(seen.count(f), 1u) << "function " << f;
+    }
+
+    // The emitter's function list tiles the TU after the header, and
+    // its chunk functions are what the unit count is capped by.
+    Netlist nl = designs::makeSr(2);
+    Interpreter lowered(nl);
+    rtl::CgenSource src = rtl::cgenEmit({&lowered.program()});
+    EXPECT_EQ(src.text, rtl::cgenEmitSource({&lowered.program()}));
+    size_t at = src.headerEnd;
+    for (const rtl::CgenFunction &f : src.functions) {
+        EXPECT_EQ(f.begin, at);
+        EXPECT_GT(f.end, f.begin);
+        at = f.end;
+    }
+    EXPECT_EQ(at, src.text.size());
+    EXPECT_GE(src.numChunks(), 2u);
+}
+
+TEST(Cgen, SplitBuildMatchesInterpreter)
+{
+    const unsigned hw = std::thread::hardware_concurrency();
+    if (hw < 2)
+        GTEST_SKIP() << "one hardware thread: the build is one unit";
+
+    Netlist nl = designs::makeSr(2);
+    CgenOptions copt;
+    copt.buildDir = freshBuildDir("split");
+
+    // Every object in the fresh dir is a split build.
+    Interpreter lowered(nl);
+    auto mod = rtl::CgenModule::compile({&lowered.program()}, copt);
+    ASSERT_NE(mod, nullptr);
+    EXPECT_GE(mod->numUnits(), 2u);
+    EXPECT_EQ(mod->numUnits(),
+              std::min<size_t>(
+                  hw, rtl::cgenEmit({&lowered.program()}).numChunks()));
+
+    auto lockStep = [](core::SimEngine &dut, core::SimEngine &ref,
+                       const char *what) {
+        for (int c = 0; c < 2048; c += 64) {
+            dut.step(64);
+            ref.step(64);
+            ASSERT_EQ(ckpt::archStateFnv(dut), ckpt::archStateFnv(ref))
+                << what << " at cycle " << c + 64;
+        }
+    };
+
+    {
+        CgenInterpreter cg(nl, rtl::LowerOptions{}, copt);
+        ASSERT_TRUE(cg.native());
+        Interpreter ref(nl, rtl::LowerOptions::none());
+        lockStep(cg, ref, "scalar cgen");
+    }
+    {
+        CgenOptions gopt = copt;
+        gopt.lanes = 4;
+        CgenInterpreter gang(nl, rtl::LowerOptions{}, gopt);
+        ASSERT_TRUE(gang.native());
+        Interpreter ref(nl, rtl::LowerOptions::none(), 4);
+        lockStep(gang, ref, "gang R=4");
+    }
+    {
+        rtl::ParConfig pcfg;
+        pcfg.maxWorkers = 2;
+        rtl::ParallelInterpreter par(nl, 2, rtl::LowerOptions{}, pcfg);
+        ASSERT_EQ(par.enableNativeKernels(copt), par.numShards());
+        Interpreter ref(nl, rtl::LowerOptions::none());
+        lockStep(par, ref, "par@2 native shards");
+    }
+}
+
+TEST(Cgen, FallsBackWhenOneUnitFails)
+{
+    if (std::thread::hardware_concurrency() < 2)
+        GTEST_SKIP() << "one hardware thread: there is no unit 1";
+    namespace fs = std::filesystem;
+
+    // A compiler wrapper that fails on unit 1 while the flag exists and
+    // otherwise runs the compiler the backend would have picked.
+    std::string root = freshBuildDir("unit-fail");
+    fs::create_directories(root);
+    std::string flag = root + "/fail-unit-1";
+    std::string wrapper = root + "/cxx.sh";
+    {
+        std::ofstream f(wrapper);
+        f << "#!/bin/sh\n"
+          << "for a in \"$@\"; do\n"
+          << "  case \"$a\" in\n"
+          << "    *.u1.cc) [ -e " << flag << " ] && exit 1 ;;\n"
+          << "  esac\n"
+          << "done\n"
+          << "exec ${PARENDI_CXX:-${CXX:-c++}} \"$@\"\n";
+    }
+    fs::permissions(wrapper, fs::perms::owner_all);
+    std::ofstream(flag).put('1');
+
+    Netlist nl = designs::makeSr(2);
+    CgenOptions copt;
+    copt.cxx = wrapper;
+    copt.buildDir = root + "/dir";
+
+    ::testing::internal::CaptureStderr();
+    CgenInterpreter cg(nl, rtl::LowerOptions{}, copt);
+    std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_FALSE(cg.native());
+    size_t at = err.find(".u1.log");
+    ASSERT_NE(at, std::string::npos) << err;
+    size_t begin = err.rfind(' ', at) + 1;
+    std::string log = err.substr(begin, at + 7 - begin);
+    EXPECT_TRUE(fs::exists(log)) << log;
+
+    // Nothing published, nothing of the units left but unit 1's log.
+    for (const auto &e : fs::directory_iterator(copt.buildDir))
+        EXPECT_EQ(e.path().string(), log) << "left behind";
+
+    Interpreter ref(nl);
+    cg.step(100);
+    ref.step(100);
+    EXPECT_EQ(ckpt::archStateFnv(cg), ckpt::archStateFnv(ref));
+
+    // Through a shared store the failed flight leaves no entry, and
+    // the same key builds once the compiler works.
+    obs::Counters counters;
+    serve::ArtifactStore::Options sopt;
+    sopt.dir = root + "/store";
+    serve::ArtifactStore store(sopt, counters);
+    CgenOptions viaStore = copt;
+    viaStore.store = &store;
+    ::testing::internal::CaptureStderr();
+    auto failed = rtl::CgenModule::compile({&cg.program()}, viaStore);
+    ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(failed, nullptr);
+    EXPECT_EQ(store.entries(), 0u);
+
+    fs::remove(flag);
+    auto ok = rtl::CgenModule::compile({&cg.program()}, viaStore);
+    ASSERT_NE(ok, nullptr);
+    EXPECT_EQ(store.entries(), 1u);
+    EXPECT_GE(ok->numUnits(), 2u);
 }
