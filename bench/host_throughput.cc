@@ -433,14 +433,23 @@ runReplicasSweepFor(const std::string &design, size_t cycles,
  * (4 requested threads) with activity-guarded evaluation on vs the
  * always-eval baseline, on the clock-gated design (where guards skip
  * the idle heavy cones) and on bitcoin (always active — the guard
- * overhead floor the CI perf smoke bounds at 5%).
+ * overhead floor the CI perf smoke bounds at 5%). The baseline is
+ * lowered without an activity plan, as `--activity 0` is, so it runs
+ * the straight-line kernel rather than the guarded one swept
+ * all-dirty.
  */
 void
 runActivitySweepFor(const std::string &design, size_t cycles,
                     std::vector<bench::PerfRecord> &recs)
 {
+    auto lowerFor = [](int act) {
+        rtl::LowerOptions lower;
+        lower.activityPlan = act != 0;
+        return lower;
+    };
     for (int act : {1, 0}) {
-        rtl::CgenInterpreter sim(bench::makeOptimized(design));
+        rtl::CgenInterpreter sim(bench::makeOptimized(design),
+                                 lowerFor(act));
         if (!sim.native()) {
             warn("cgen toolchain unavailable; omitting activity rows "
                  "for %s", design.c_str());
@@ -453,7 +462,8 @@ runActivitySweepFor(const std::string &design, size_t cycles,
         recs.push_back(rec);
     }
     for (int act : {1, 0}) {
-        rtl::ParallelInterpreter sim(bench::makeOptimized(design), 4);
+        rtl::ParallelInterpreter sim(bench::makeOptimized(design), 4,
+                                     lowerFor(act));
         if (sim.enableNativeKernels() != sim.numShards())
             return;
         sim.setActivity(act != 0);

@@ -192,18 +192,24 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         replicas = 1;
     }
     maybeWarnGangCacheCliff(nl, replicas);
+    // Without activity guards no engine reads the plan, and a program
+    // without one compiles to the straight-line native kernel instead
+    // of the guarded one swept all-dirty.
+    rtl::LowerOptions lower = opt.lower;
+    if (!opt.activity)
+        lower.activityPlan = false;
     std::unique_ptr<SimEngine> engine;
     switch (opt.kind) {
       case EngineKind::Interp:
         engine = std::make_unique<rtl::Interpreter>(std::move(nl),
-                                                    opt.lower, replicas);
+                                                    lower, replicas);
         break;
       case EngineKind::Cgen: {
         rtl::CgenOptions ccfg;
         ccfg.store = opt.artifacts;
         ccfg.lanes = replicas;
         engine = std::make_unique<rtl::CgenInterpreter>(std::move(nl),
-                                                        opt.lower, ccfg);
+                                                        lower, ccfg);
         break;
       }
       case EngineKind::Par: {
@@ -221,7 +227,7 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
             pcfg.costIn = &measured;
         }
         auto par = std::make_unique<rtl::ParallelInterpreter>(
-            std::move(nl), opt.threads, opt.lower, pcfg);
+            std::move(nl), opt.threads, lower, pcfg);
         if (opt.cgen) {
             rtl::CgenOptions ccfg;
             ccfg.store = opt.artifacts;
@@ -232,8 +238,8 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
       }
       case EngineKind::Ipu: {
         CompilerOptions copt;
-        copt.lower = opt.lower;
-        copt.machine.lower = opt.lower;
+        copt.lower = lower;
+        copt.machine.lower = lower;
         copt.machine.hostThreads = opt.threads;
         copt.machine.batch = opt.batch;
         engine = std::make_unique<CompiledIpuEngine>(

@@ -310,8 +310,9 @@ struct EngineOptions
     uint32_t replicas = 1;
     /** Activity-guarded evaluation (`--activity`; default on): skip
      *  combinational groups whose inputs are unchanged. `--activity 0`
-     *  is the always-eval A/B baseline. Engines without a guarded path
-     *  (ipu) silently run always-eval. */
+     *  is the always-eval A/B baseline: it lowers without an activity
+     *  plan, so native kernels are the straight-line ones. Engines
+     *  without a guarded path (ipu) silently run always-eval. */
     bool activity = true;
     /** Load measured per-fiber costs from this file (see
      *  obs::CostProfile) and let the par engine's LPT partition use

@@ -1058,8 +1058,9 @@ const char *const kHidden = "__attribute__((visibility(\"hidden\"))) ";
  * The TU under construction: every top-level function goes to `body`
  * in text order, bracketed by open()/close() so the split build gets
  * its spans and weights from the emitter instead of re-parsing text;
- * chunk functions are also declared in `decls`, which follows the
- * preamble in every unit.
+ * chunk functions, and the act entries the unguarded wrappers call,
+ * are also declared in `decls`, which follows the preamble in every
+ * unit.
  */
 struct TuWriter
 {
@@ -1162,6 +1163,12 @@ cgenObjectName(uint64_t key)
 {
     return strprintf("parendi_%016llx.so",
                      static_cast<unsigned long long>(key));
+}
+
+std::string
+cgenDebugSourcePath(const std::string &objectPath)
+{
+    return std::filesystem::path(objectPath).replace_extension(".cc").string();
 }
 
 namespace {
@@ -1402,14 +1409,73 @@ emitLatchAct(TuWriter &tu, size_t p, const EvalProgram &prog,
     tu.close();
 }
 
+/** Instructions [@p lo, @p hi) of @p prog as chunk-body statements.
+ *  Gang (@p L > 1) batches maximal runs of single-word-tier ops into
+ *  one PG_SIMD lane loop each: within a lane iteration the run is
+ *  straight-line code over constant-offset slots, so intermediates
+ *  register-allocate across the run (and the lane loop vectorizes at
+ *  unit stride). */
+static void
+emitRange(std::ostream &o, const EvalProgram &prog, size_t lo, size_t hi,
+          uint32_t L)
+{
+    if (L == 1) {
+        for (size_t i = lo; i < hi; ++i)
+            emitInstr(o, prog.instrs[i], prog);
+        return;
+    }
+    size_t i = lo;
+    while (i < hi) {
+        if (!gangSimdTier(prog.instrs[i].op)) {
+            emitInstrGang(o, prog.instrs[i], prog, L);
+            ++i;
+            continue;
+        }
+        o << "    PG_SIMD for (uint64_t l = 0; l < " << L
+          << "u; ++l) {\n";
+        for (; i < hi && gangSimdTier(prog.instrs[i].op); ++i)
+            emitGangLaneStmt(o, prog.instrs[i], L);
+        o << "    }\n";
+    }
+}
+
+/** Straight-line evaluate (programs without an activity plan): the
+ *  instruction stream in kChunkInstrs chunks, called in order by
+ *  parendi_eval_<p>. */
+static void
+emitEval(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
+{
+    size_t numInstrs = prog.instrs.size();
+    size_t numChunks = (numInstrs + kChunkInstrs - 1) / kChunkInstrs;
+    for (size_t ck = 0; ck < numChunks; ++ck) {
+        std::ostream &o = tu.openChunk(
+            "void pe" + std::to_string(p) + "_c" + std::to_string(ck) +
+            "(uint64_t *s, uint64_t *const *m)");
+        o << "    (void)s;\n    (void)m;\n";
+        size_t lo = ck * kChunkInstrs;
+        emitRange(o, prog, lo, std::min(lo + kChunkInstrs, numInstrs), L);
+        o << "}\n";
+        tu.close();
+    }
+    std::ostream &o = tu.open(false);
+    o << "\nextern \"C\" void parendi_eval_" << p
+      << "(uint64_t *slots, uint64_t *const *mems)\n{\n";
+    if (numChunks == 0)
+        o << "    (void)slots;\n    (void)mems;\n";
+    for (size_t ck = 0; ck < numChunks; ++ck)
+        o << "    pe" << p << "_c" << ck << "(slots, mems);\n";
+    o << "}\n";
+    tu.close();
+}
+
 /**
- * Activity-guarded evaluate: the same instruction stream as
- * parendi_eval_<p>, with each activity group wrapped in its dirty-byte
- * guard. A group that runs clears its own byte, marks every successor
- * (always a later group, so one forward pass suffices — same invariant
- * as EvalState::evalActive) and accounts (1 << 32) | instrs into the
- * packed return value. Chunked into whole-group chunk functions, like
- * the unguarded emission.
+ * Activity-guarded evaluate (programs with a built plan): the
+ * instruction stream with each activity group wrapped in its
+ * dirty-byte guard. A group that runs clears its own byte, marks every
+ * successor (always a later group, so one forward pass suffices — same
+ * invariant as EvalState::evalActive) and accounts
+ * (1 << 32) | instrs into the packed return value. Chunked into
+ * whole-group chunk functions of about kChunkInstrs instructions.
  */
 static void
 emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
@@ -1434,26 +1500,7 @@ emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
             const ActivityGroup &ag = ap.groups[g];
             o << "    if (d[" << g << "]) {\n"
               << "    d[" << g << "] = 0;\n";
-            if (L == 1) {
-                for (uint32_t i = ag.beginInstr; i < ag.endInstr; ++i)
-                    emitInstr(o, prog.instrs[i], prog);
-            } else {
-                uint32_t i = ag.beginInstr;
-                while (i < ag.endInstr) {
-                    if (!gangSimdTier(prog.instrs[i].op)) {
-                        emitInstrGang(o, prog.instrs[i], prog, L);
-                        ++i;
-                        continue;
-                    }
-                    o << "    PG_SIMD for (uint64_t l = 0; l < " << L
-                      << "u; ++l) {\n";
-                    for (; i < ag.endInstr &&
-                         gangSimdTier(prog.instrs[i].op);
-                         ++i)
-                        emitGangLaneStmt(o, prog.instrs[i], L);
-                    o << "    }\n";
-                }
-            }
+            emitRange(o, prog, ag.beginInstr, ag.endInstr, L);
             for (uint32_t k = ag.succBegin; k < ag.succEnd; ++k)
                 o << "    d[" << ap.succs[k] << "] = 1;\n";
             o << "    r += ((uint64_t)1 << 32) | "
@@ -1480,6 +1527,50 @@ emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
     tu.close();
 }
 
+/**
+ * The unguarded entries of a plan-carrying program, as thin wrappers
+ * over its act entries (the only instruction stream it has): evaluate
+ * is the guarded sweep with every group dirty — every instruction runs,
+ * in order — and latch is the compare-latch into a scratch dirty map.
+ * Either may land in another unit than the act entry it calls, so the
+ * act entries are declared in the shared header.
+ */
+static void
+emitActWrappers(TuWriter &tu, size_t p, const EvalProgram &prog)
+{
+    const size_t G = prog.activity.numGroups();
+    // A zero-length array is not C++; with no groups the latch never
+    // touches its one-byte scratch map.
+    const size_t scratch = std::max<size_t>(1, G);
+    tu.decls << "extern \"C\" uint64_t parendi_eval_act_" << p
+             << "(uint64_t *slots, uint64_t *const *mems, "
+                "uint8_t *dirty);\n"
+             << "extern \"C\" void parendi_latch_act_" << p
+             << "(uint64_t *s, uint8_t *d);\n";
+
+    std::ostream &o = tu.open(false);
+    o << "\nextern \"C\" void parendi_eval_" << p
+      << "(uint64_t *slots, uint64_t *const *mems)\n{\n";
+    if (G == 0) {
+        o << "    (void)slots;\n    (void)mems;\n";
+    } else {
+        o << "    uint8_t d[" << G << "];\n"
+          << "    std::memset(d, 1, " << G << ");\n"
+          << "    (void)parendi_eval_act_" << p << "(slots, mems, d);\n";
+    }
+    o << "}\n";
+    tu.close();
+
+    std::ostream &l = tu.open(false);
+    l << "\nextern \"C\" void parendi_latch_" << p
+      << "(uint64_t *s, uint64_t *const *m)\n{\n"
+      << "    (void)m;\n"
+      << "    uint8_t d[" << scratch << "] = {};\n"
+      << "    parendi_latch_act_" << p << "(s, d);\n"
+      << "}\n";
+    tu.close();
+}
+
 size_t
 CgenSource::numChunks() const
 {
@@ -1495,59 +1586,18 @@ cgenEmit(const std::vector<const EvalProgram *> &progs, uint32_t lanes)
     TuWriter tu;
     for (size_t p = 0; p < progs.size(); ++p) {
         const EvalProgram &prog = *progs[p];
-        size_t numInstrs = prog.instrs.size();
-        size_t numChunks = (numInstrs + kChunkInstrs - 1) / kChunkInstrs;
-        for (size_t ck = 0; ck < numChunks; ++ck) {
-            std::ostream &out = tu.openChunk(
-                "void pe" + std::to_string(p) + "_c" + std::to_string(ck) +
-                "(uint64_t *s, uint64_t *const *m)");
-            out << "    (void)s;\n    (void)m;\n";
-            size_t lo = ck * kChunkInstrs;
-            size_t hi = std::min(lo + kChunkInstrs, numInstrs);
-            if (L == 1) {
-                for (size_t i = lo; i < hi; ++i)
-                    emitInstr(out, prog.instrs[i], prog);
-            } else {
-                // Batch maximal runs of single-word-tier ops into one
-                // PG_SIMD lane loop each: within a lane iteration the
-                // run is straight-line code over constant-offset slots,
-                // so intermediates register-allocate across the run
-                // (and the lane loop vectorizes at unit stride).
-                size_t i = lo;
-                while (i < hi) {
-                    if (!gangSimdTier(prog.instrs[i].op)) {
-                        emitInstrGang(out, prog.instrs[i], prog, L);
-                        ++i;
-                        continue;
-                    }
-                    out << "    PG_SIMD for (uint64_t l = 0; l < " << L
-                        << "u; ++l) {\n";
-                    for (; i < hi && gangSimdTier(prog.instrs[i].op);
-                         ++i)
-                        emitGangLaneStmt(out, prog.instrs[i], L);
-                    out << "    }\n";
-                }
-            }
-            out << "}\n";
-            tu.close();
-        }
-        std::ostream &out = tu.open(false);
-        out << "\nextern \"C\" void parendi_eval_" << p
-            << "(uint64_t *slots, uint64_t *const *mems)\n{\n";
-        if (numChunks == 0)
-            out << "    (void)slots;\n    (void)mems;\n";
-        for (size_t ck = 0; ck < numChunks; ++ck)
-            out << "    pe" << p << "_c" << ck << "(slots, mems);\n";
-        out << "}\n";
-        tu.close();
-        emitCommit(tu, p, prog, L);
-        emitLatch(tu, p, prog, L);
-        // The act entries are emitted only for programs carrying a
-        // built plan; their presence changes the source text and thus
-        // the content key, so plan/no-plan builds never collide.
+        // One instruction stream per program: the guarded one when it
+        // carries a plan (the unguarded entries wrap it), else the
+        // straight-line one with no act entries.
         if (prog.activity.built) {
             emitEvalAct(tu, p, prog, L);
+            emitActWrappers(tu, p, prog);
+            emitCommit(tu, p, prog, L);
             emitLatchAct(tu, p, prog, L);
+        } else {
+            emitEval(tu, p, prog, L);
+            emitCommit(tu, p, prog, L);
+            emitLatch(tu, p, prog, L);
         }
     }
 
@@ -1743,7 +1793,7 @@ CgenModule::compile(const std::vector<const EvalProgram *> &progs,
             std::ofstream f(tmp + ".cc", std::ios::trunc);
             f << src.text;
         }
-        fs::rename(tmp + ".cc", stem + ".cc", ec);
+        fs::rename(tmp + ".cc", cgenDebugSourcePath(so), ec);
         fs::remove(linkLog, ec);
         built = true;
         return true;

@@ -9,7 +9,9 @@
  * shared object and dlopen()ed. Each program yields three entry
  * points — evaluate (the combinational program), commit (the deferred
  * memory write ports) and latch (the two-phase next→cur register
- * copy) — installed on an EvalState (EvalState::setNativeEval), so
+ * copy) — plus, when it carries an activity plan, their guarded
+ * evaluate and compare-latch twins, installed on an EvalState
+ * (EvalState::setNativeEval), so
  * every engine built on EvalPrograms — the reference interpreter, and
  * the ShardSet behind the par and ipu engines — can execute native
  * code between the same deterministic BSP supersteps. (The ShardSet
@@ -115,7 +117,10 @@ struct CgenOptions
 /** The native entry points generated for one EvalProgram. */
 struct CgenEntry
 {
-    NativeEvalFn eval = nullptr;    ///< combinational evaluate
+    /** Combinational evaluate. With a plan it is evalAct over an
+     *  all-dirty map, and latch is latchAct into a scratch map: the
+     *  TU holds one instruction stream, the guarded one. */
+    NativeEvalFn eval = nullptr;
     NativeEvalFn commit = nullptr;  ///< deferred memory write ports
     NativeEvalFn latch = nullptr;   ///< two-phase register latch
 
@@ -196,11 +201,14 @@ struct CgenSource
 /**
  * The emitter alone: the C++ source of a translation unit with
  * `extern "C" void parendi_{eval,commit,latch}_<i>(uint64_t *slots,
- * uint64_t *const *mems)` entries per program. Deterministic
+ * uint64_t *const *mems)` entries per program. Each program's
+ * instruction stream is emitted once: as activity-guarded `pea<i>_c<k>`
+ * chunks behind `parendi_{eval,latch}_act_<i>` when the program
+ * carries a built plan (eval and latch then wrap the act entries), as
+ * straight-line `pe<i>_c<k>` chunks otherwise. Deterministic
  * (hashable) for identical programs. @p lanes > 1 emits gang
  * (lane-vectorized) kernels over the lane-major SoA layout; 1 emits
- * the scalar kernels, byte-identical to what this emitted before gang
- * simulation existed.
+ * the scalar kernels.
  */
 std::string cgenEmitSource(const std::vector<const EvalProgram *> &progs,
                            uint32_t lanes = 1);
@@ -226,6 +234,11 @@ uint64_t cgenHash(const std::string &bytes);
  *  ("parendi_<key>.so") — shared by every ArtifactCache
  *  implementation so stores and the directory cache interoperate. */
 std::string cgenObjectName(uint64_t key);
+
+/** Path of the whole-TU debug copy CgenModule::compile keeps beside
+ *  the object at @p objectPath ("parendi_<key>.cc" next to
+ *  "parendi_<key>.so"); stores count and evict it with the object. */
+std::string cgenDebugSourcePath(const std::string &objectPath);
 
 /** Compile @p prog and install the kernel on @p state; false (with a
  *  warning) if native execution is unavailable. */

@@ -93,9 +93,9 @@ ArtifactStore::acquire(
         warmStarts_.add();
         Entry &e = entries_[key];
         e.path = path;
-        e.bytes = sz;
+        e.bytes = sz + fileBytes(rtl::cgenDebugSourcePath(path));
         e.lastUse = ++useClock_;
-        bytes_ += sz;
+        bytes_ += e.bytes;
         evictOver(key);
         return path;
     }
@@ -118,7 +118,7 @@ ArtifactStore::acquire(
     }
     Entry &e = entries_[key];
     e.inFlight = false;
-    e.bytes = fileBytes(path);
+    e.bytes = fileBytes(path) + fileBytes(rtl::cgenDebugSourcePath(path));
     e.lastUse = ++useClock_;
     bytes_ += e.bytes;
     evictOver(key);
@@ -144,6 +144,7 @@ ArtifactStore::evictOver(uint64_t keep)
             return;     // nothing evictable (all in flight or `keep`)
         std::error_code ec;
         fs::remove(victim->second.path, ec);
+        fs::remove(rtl::cgenDebugSourcePath(victim->second.path), ec);
         bytes_ -= victim->second.bytes;
         entries_.erase(victim);
         evictions_.add();

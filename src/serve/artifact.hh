@@ -12,9 +12,10 @@
  *    design warm-starts without invoking the compiler;
  *  - single-flight: concurrent misses on one key run ONE compile;
  *    the other requesters block until it publishes (or fails);
- *  - LRU eviction by byte budget: the store tracks resident object
- *    sizes and evicts least-recently-acquired entries (deleting the
- *    .so from disk) once the budget is exceeded. Linux keeps
+ *  - LRU eviction by byte budget: the store tracks resident sizes
+ *    (each object plus the "parendi_<hex>.cc" debug source kept
+ *    beside it) and evicts least-recently-acquired entries (deleting
+ *    both files) once the budget is exceeded. Linux keeps
  *    dlopen()ed objects mapped after unlink, so evicting an artifact
  *    a live session still executes is safe — it just forces a
  *    recompile for the next session;
@@ -55,8 +56,9 @@ class ArtifactStore final : public rtl::ArtifactCache
          *  artifacts earlier CLI runs compiled. */
         std::string dir;
 
-        /** Resident-byte budget; 0 selects $PARENDI_ARTIFACT_BYTES,
-         *  and unlimited when that is unset too. */
+        /** Resident-byte budget (objects plus their debug sources);
+         *  0 selects $PARENDI_ARTIFACT_BYTES, and unlimited when that
+         *  is unset too. */
         uint64_t byteBudget = 0;
     };
 

@@ -12,6 +12,7 @@
 #include <filesystem>
 #include <fstream>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <unistd.h>
 
@@ -138,6 +139,37 @@ TEST(ArtifactStore, EvictsLeastRecentlyUsed)
     EXPECT_FALSE(fs::exists(p2));
     EXPECT_TRUE(fs::exists(p1));
     EXPECT_EQ(store.bytesResident(), 3000u);
+}
+
+TEST(ArtifactStore, EvictionRemovesDebugSource)
+{
+    TempDir dir;
+    obs::Counters counters;
+    ArtifactStore::Options opt;
+    opt.dir = dir.path;
+    opt.byteBudget = 3000;  // one entry: a 1000 B object + 2000 B source
+    ArtifactStore store(opt, counters);
+
+    // Like CgenModule::compile: the object, and the whole TU beside it.
+    auto build = [](const std::string &objectPath) {
+        std::ofstream(objectPath, std::ios::binary)
+            << std::string(1000, 'o');
+        std::ofstream(rtl::cgenDebugSourcePath(objectPath))
+            << std::string(2000, 's');
+        return true;
+    };
+    store.acquire(1, build);
+    std::string p2 = store.acquire(2, build);
+    EXPECT_FALSE(store.contains(1));
+    EXPECT_TRUE(store.contains(2));
+
+    std::set<std::string> left;
+    for (const auto &e : fs::directory_iterator(dir.path))
+        left.insert(e.path().string());
+    std::string src2 = rtl::cgenDebugSourcePath(p2);
+    EXPECT_EQ(left, (std::set<std::string>{p2, src2}));
+    EXPECT_EQ(store.bytesResident(),
+              fs::file_size(p2) + fs::file_size(src2));
 }
 
 TEST(ArtifactStore, NeverEvictsTheEntryJustAcquired)

@@ -18,11 +18,13 @@
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
+#include <functional>
 #include <set>
 #include <sstream>
 #include <thread>
 
 #include "ckpt/snapshot.hh"
+#include "core/engine.hh"
 #include "core/session.hh"
 #include "designs/designs.hh"
 #include "random_netlist.hh"
@@ -89,6 +91,23 @@ checkCgenEquivalence(const Netlist &nl, int cycles, int checkEvery,
         if (c % checkEvery != checkEvery - 1 && c != cycles - 1)
             continue;
         compareEngines(cg, generic, "cgen vs generic");
+    }
+}
+
+/** Step @p dut and @p ref 2048 cycles in lock-step, comparing their
+ *  architectural state every 64; @p before(c) runs before the block
+ *  that starts at cycle c. */
+void
+lockStep(core::SimEngine &dut, core::SimEngine &ref, const char *what,
+         const std::function<void(int)> &before = nullptr)
+{
+    for (int c = 0; c < 2048; c += 64) {
+        if (before)
+            before(c);
+        dut.step(64);
+        ref.step(64);
+        ASSERT_EQ(ckpt::archStateFnv(dut), ckpt::archStateFnv(ref))
+            << what << " at cycle " << c + 64;
     }
 }
 
@@ -377,16 +396,6 @@ TEST(Cgen, SplitBuildMatchesInterpreter)
               std::min<size_t>(
                   hw, rtl::cgenEmit({&lowered.program()}).numChunks()));
 
-    auto lockStep = [](core::SimEngine &dut, core::SimEngine &ref,
-                       const char *what) {
-        for (int c = 0; c < 2048; c += 64) {
-            dut.step(64);
-            ref.step(64);
-            ASSERT_EQ(ckpt::archStateFnv(dut), ckpt::archStateFnv(ref))
-                << what << " at cycle " << c + 64;
-        }
-    };
-
     {
         CgenInterpreter cg(nl, rtl::LowerOptions{}, copt);
         ASSERT_TRUE(cg.native());
@@ -479,4 +488,71 @@ TEST(Cgen, FallsBackWhenOneUnitFails)
     ASSERT_NE(ok, nullptr);
     EXPECT_EQ(store.entries(), 1u);
     EXPECT_GE(ok->numUnits(), 2u);
+}
+
+TEST(Cgen, OneInstructionStreamPerKernel)
+{
+    // A program with an activity plan compiles only the guarded
+    // stream; one without compiles only the straight-line stream.
+    Netlist nl = designs::makeSr(2);
+    rtl::LowerOptions noPlan;
+    noPlan.activityPlan = false;
+    Interpreter planned(nl);
+    Interpreter plain(nl, noPlan);
+    ASSERT_TRUE(planned.program().activity.built);
+    ASSERT_FALSE(plain.program().activity.built);
+    std::string guarded = rtl::cgenEmitSource({&planned.program()});
+    EXPECT_EQ(guarded.find("pe0_c"), std::string::npos);
+    EXPECT_NE(guarded.find("pea0_c"), std::string::npos);
+    std::string straight = rtl::cgenEmitSource({&plain.program()});
+    EXPECT_EQ(straight.find("pea0_c"), std::string::npos);
+    EXPECT_EQ(straight.find("parendi_eval_act_0"), std::string::npos);
+    EXPECT_NE(straight.find("pe0_c"), std::string::npos);
+
+    // --activity 0 through the factory runs the straight-line kernel.
+    {
+        core::EngineOptions eo;
+        eo.kind = core::EngineKind::Cgen;
+        eo.activity = false;
+        auto engine = core::makeEngine(nl, eo);
+        auto *cg = dynamic_cast<CgenInterpreter *>(engine.get());
+        ASSERT_NE(cg, nullptr);
+        EXPECT_TRUE(cg->native());
+        EXPECT_FALSE(cg->program().activity.built);
+    }
+
+    // Plan-carrying kernels with activity off, on and off again: the
+    // all-dirty wrappers, then the act entries, then the wrappers.
+    CgenOptions copt;
+    copt.buildDir = freshBuildDir("one-stream");
+    auto toggle = [](core::SimEngine &e) {
+        return [&e](int c) {
+            if (c == 640)
+                ASSERT_TRUE(e.setActivity(true));
+            else if (c == 1344)
+                e.setActivity(false);
+        };
+    };
+    {
+        CgenInterpreter cg(nl, rtl::LowerOptions{}, copt);
+        ASSERT_TRUE(cg.native());
+        Interpreter ref(nl, rtl::LowerOptions::none());
+        lockStep(cg, ref, "scalar cgen", toggle(cg));
+    }
+    {
+        CgenOptions gopt = copt;
+        gopt.lanes = 4;
+        CgenInterpreter gang(nl, rtl::LowerOptions{}, gopt);
+        ASSERT_TRUE(gang.native());
+        Interpreter ref(nl, rtl::LowerOptions::none(), 4);
+        lockStep(gang, ref, "gang R=4", toggle(gang));
+    }
+    {
+        rtl::ParConfig pcfg;
+        pcfg.maxWorkers = 2;
+        rtl::ParallelInterpreter par(nl, 2, rtl::LowerOptions{}, pcfg);
+        ASSERT_EQ(par.enableNativeKernels(copt), par.numShards());
+        Interpreter ref(nl, rtl::LowerOptions::none());
+        lockStep(par, ref, "par@2 native shards", toggle(par));
+    }
 }
