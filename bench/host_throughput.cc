@@ -23,9 +23,11 @@
  *
  * `--replicas-sweep` appends gang-simulation rows: the cgen engine and
  * par-cgen (4 threads) at R = 1/4/8/16 replica lanes on pico and
- * bitcoin. cycles_per_sec stays per lane; the rows additionally carry
- * replicas and agg_lane_cycles_per_sec = R * cycles_per_sec (the
- * batched-throughput figure the CI gang guard checks).
+ * bitcoin, built by core::makeEngine with default options (so the
+ * activity probe picks their stream). cycles_per_sec stays per lane;
+ * the rows additionally carry replicas and agg_lane_cycles_per_sec =
+ * R * cycles_per_sec (the batched-throughput figure the CI gang guard
+ * checks).
  *
  * `--activity-sweep` appends activity A/B rows: cgen and par-cgen
  * (4 threads) with activity-guarded evaluation on vs the always-eval
@@ -391,38 +393,43 @@ runEngineMatrixFor(const std::string &design, size_t cycles,
 /**
  * Gang-simulation rows: one instruction stream stepping R replica
  * lanes (rtl::GangState SoA layout + lane-vectorized cgen kernels).
- * cyclesPerSec is measured per lane as usual — step(n) advances all
- * lanes n cycles — and the record's replicas field lets readers form
- * the aggregate R * cyclesPerSec.
+ * The engines come from core::makeEngine with default options, so the
+ * rows measure what users get: the activity probe picks the guarded
+ * or straight-line stream per design. cyclesPerSec is measured per
+ * lane as usual — step(n) advances all lanes n cycles — and the
+ * record's replicas field lets readers form the aggregate
+ * R * cyclesPerSec.
  */
 void
 runReplicasSweepFor(const std::string &design, size_t cycles,
                     std::vector<bench::PerfRecord> &recs)
 {
     for (uint32_t r : {1u, 4u, 8u, 16u}) {
-        rtl::CgenOptions copt;
-        copt.lanes = r;
-        rtl::CgenInterpreter sim(bench::makeOptimized(design),
-                                 rtl::LowerOptions{}, copt);
-        if (!sim.native()) {
+        core::EngineOptions eo;
+        eo.kind = core::EngineKind::Cgen;
+        eo.replicas = r;
+        auto sim = core::makeEngine(bench::makeOptimized(design), eo);
+        if (!static_cast<rtl::CgenInterpreter &>(*sim).native()) {
             warn("cgen toolchain unavailable; omitting gang rows "
                  "for %s", design.c_str());
             return;
         }
         bench::PerfRecord rec{design, "cgen", 1,
-                              measureCyclesPerSec(sim, cycles)};
+                              measureCyclesPerSec(*sim, cycles)};
         rec.replicas = r;
         recs.push_back(rec);
     }
     for (uint32_t r : {1u, 4u, 8u, 16u}) {
-        rtl::ParConfig pcfg;
-        pcfg.replicas = r;
-        rtl::ParallelInterpreter sim(bench::makeOptimized(design), 4,
-                                     rtl::LowerOptions{}, pcfg);
-        if (sim.enableNativeKernels() != sim.numShards())
+        core::EngineOptions eo;
+        eo.kind = core::EngineKind::Par;
+        eo.threads = 4;
+        eo.cgen = true;
+        eo.replicas = r;
+        auto sim = core::makeEngine(bench::makeOptimized(design), eo);
+        if (!static_cast<rtl::ParallelInterpreter &>(*sim).native())
             return;
         bench::PerfRecord rec{design, "par-cgen", 4,
-                              measureCyclesPerSec(sim, cycles)};
+                              measureCyclesPerSec(*sim, cycles)};
         rec.replicas = r;
         recs.push_back(rec);
     }

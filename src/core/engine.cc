@@ -176,6 +176,41 @@ maybeWarnGangCacheCliff(const rtl::Netlist &nl, uint32_t replicas)
          static_cast<unsigned long long>(fit));
 }
 
+/** Cycles the activity probe interprets from reset. The skip
+ *  fraction of every measured design is stable from 16 to 1024. */
+constexpr size_t kActivityProbeCycles = 64;
+
+/** Least probed skip fraction at which activity guards pay for their
+ *  overhead (see DESIGN.md "Activity-aware execution" for the measured
+ *  break-even). Below it the engine compiles the straight-line kernel. */
+constexpr double kActivityMinSkip = 0.1;
+
+/**
+ * Share of activity groups a guarded sweep skips over the first
+ * kActivityProbeCycles cycles of @p nl from reset — the ratio the
+ * eval_groups_skipped / eval_groups_total counters report — measured
+ * on a throwaway plan-carrying program and state. Interpreted, and
+ * without a profiler, so it costs milliseconds and little memory.
+ */
+double
+probeSkipFraction(const rtl::Netlist &nl, const rtl::LowerOptions &lower)
+{
+    rtl::ProgramBuilder builder(nl);
+    builder.addAll();
+    rtl::EvalProgram prog = builder.build();
+    rtl::lowerProgram(prog, lower);
+    rtl::EvalState state(prog);
+    if (!state.enableActivity(true))
+        return 0.0;
+    uint64_t run = 0, total = 0;
+    for (size_t c = 0; c < kActivityProbeCycles; ++c) {
+        state.step();
+        run += state.lastGroupsRun();
+        total += state.lastGroupsTotal();
+    }
+    return total ? double(total - run) / double(total) : 0.0;
+}
+
 } // namespace
 
 std::unique_ptr<SimEngine>
@@ -192,11 +227,21 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         replicas = 1;
     }
     maybeWarnGangCacheCliff(nl, replicas);
-    // Without activity guards no engine reads the plan, and a program
-    // without one compiles to the straight-line native kernel instead
-    // of the guarded one swept all-dirty.
+    // Guards are on where a short interpreted probe shows they skip
+    // enough to pay (ipu has no guarded path and is not probed).
+    // Without guards no engine reads the plan, and a program without
+    // one compiles to the straight-line native kernel instead of the
+    // guarded one swept all-dirty.
     rtl::LowerOptions lower = opt.lower;
-    if (!opt.activity)
+    bool guards = opt.activity;
+    if (guards && lower.activityPlan && opt.kind != EngineKind::Ipu) {
+        double skip = probeSkipFraction(nl, lower);
+        guards = skip >= kActivityMinSkip;
+        inform("activity: %zu-cycle probe skipped %.1f%% of eval groups; "
+               "%s evaluation", kActivityProbeCycles, skip * 100.0,
+               guards ? "guarded" : "straight-line");
+    }
+    if (!guards)
         lower.activityPlan = false;
     std::unique_ptr<SimEngine> engine;
     switch (opt.kind) {
@@ -249,11 +294,11 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
     }
     if (!engine)
         panic("unhandled engine kind");
-    // Activity-guarded eval (default on; --activity 0 is the
-    // always-eval A/B baseline). Engines without a guarded path —
-    // ipu, or a program whose activity plan could not be built —
-    // return false and keep running always-eval.
-    if (opt.activity)
+    // Activity-guarded eval where the probe chose it (--activity 0
+    // forces always-eval). Engines without a guarded path — ipu, or a
+    // program whose activity plan could not be built — return false
+    // and keep running always-eval.
+    if (guards)
         engine->setActivity(true);
     // Telemetry-directed repartitioning reads the profiler's
     // per-shard straggler stats, so --rebalance implies --profile.

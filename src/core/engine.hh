@@ -308,11 +308,14 @@ struct EngineOptions
      *  (lanes compose with par threads); ipu warns and runs a
      *  single replica. 1 = scalar. */
     uint32_t replicas = 1;
-    /** Activity-guarded evaluation (`--activity`; default on): skip
-     *  combinational groups whose inputs are unchanged. `--activity 0`
-     *  is the always-eval A/B baseline: it lowers without an activity
-     *  plan, so native kernels are the straight-line ones. Engines
-     *  without a guarded path (ipu) silently run always-eval. */
+    /** Activity-guarded evaluation where it pays (`--activity`;
+     *  default on): makeEngine runs a short interpreted probe of the
+     *  design and turns guards on — skip combinational groups whose
+     *  inputs are unchanged — only when it skips enough groups;
+     *  otherwise it lowers without a plan, as `--activity 0` always
+     *  does, so native kernels are the straight-line ones. Engines
+     *  without a guarded path (ipu) are not probed and silently run
+     *  always-eval. */
     bool activity = true;
     /** Load measured per-fiber costs from this file (see
      *  obs::CostProfile) and let the par engine's LPT partition use

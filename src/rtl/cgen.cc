@@ -1045,10 +1045,17 @@ emitInstrGang(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
 
 /** Straight-line instruction count per generated chunk function.
  *  Optimization time per function grows faster than linearly with its
- *  size, so chunking bounds it for very large programs, and chunks are
- *  what the split build spreads over units; call overhead is
- *  negligible at this granularity. */
-constexpr size_t kChunkInstrs = 512;
+ *  size, so chunking bounds it, and chunks are what the split build
+ *  spreads over units; call overhead is negligible at this
+ *  granularity (see DESIGN.md for the set-up times that chose 128
+ *  over 512). */
+constexpr size_t kChunkInstrs = 128;
+
+/** Instructions per guarded chunk function (whole activity groups).
+ *  Larger than kChunkInstrs: on a mostly idle design a guarded cycle
+ *  is little more than its dirty-byte tests and chunk calls, and 128
+ *  cost the serve-gated cgen rate about 10%. */
+constexpr size_t kActChunkInstrs = 512;
 
 /** Chunk functions are external (so an entry in one unit can call a
  *  chunk in another) but hidden (so the .so exports only the entries). */
@@ -1410,11 +1417,12 @@ emitLatchAct(TuWriter &tu, size_t p, const EvalProgram &prog,
 }
 
 /** Instructions [@p lo, @p hi) of @p prog as chunk-body statements.
- *  Gang (@p L > 1) batches maximal runs of single-word-tier ops into
- *  one PG_SIMD lane loop each: within a lane iteration the run is
+ *  Gang (@p L > 1) batches runs of single-word-tier ops into one
+ *  PG_SIMD lane loop each: within a lane iteration the run is
  *  straight-line code over constant-offset slots, so intermediates
  *  register-allocate across the run (and the lane loop vectorizes at
- *  unit stride). */
+ *  unit stride). A run longer than kCgenLaneRunStmts is split so each
+ *  loop stays within the vectorizer's dataref budget. */
 static void
 emitRange(std::ostream &o, const EvalProgram &prog, size_t lo, size_t hi,
           uint32_t L)
@@ -1433,7 +1441,9 @@ emitRange(std::ostream &o, const EvalProgram &prog, size_t lo, size_t hi,
         }
         o << "    PG_SIMD for (uint64_t l = 0; l < " << L
           << "u; ++l) {\n";
-        for (; i < hi && gangSimdTier(prog.instrs[i].op); ++i)
+        for (size_t n = 0; n < kCgenLaneRunStmts && i < hi &&
+                           gangSimdTier(prog.instrs[i].op);
+             ++n, ++i)
             emitGangLaneStmt(o, prog.instrs[i], L);
         o << "    }\n";
     }
@@ -1475,7 +1485,7 @@ emitEval(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
  * successor (always a later group, so one forward pass suffices — same
  * invariant as EvalState::evalActive) and accounts
  * (1 << 32) | instrs into the packed return value. Chunked into
- * whole-group chunk functions of about kChunkInstrs instructions.
+ * whole-group chunk functions of about kActChunkInstrs instructions.
  */
 static void
 emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
@@ -1486,7 +1496,7 @@ emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
     if (!ap.groups.empty()) {
         uint32_t gsz = std::max<uint32_t>(
             1, ap.groups[0].endInstr - ap.groups[0].beginInstr);
-        groupsPerChunk = std::max<size_t>(1, kChunkInstrs / gsz);
+        groupsPerChunk = std::max<size_t>(1, kActChunkInstrs / gsz);
     }
     size_t numChunks = (ngroups + groupsPerChunk - 1) / groupsPerChunk;
     for (size_t ck = 0; ck < numChunks; ++ck) {

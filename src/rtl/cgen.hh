@@ -37,6 +37,7 @@
 #ifndef PARENDI_RTL_CGEN_HH
 #define PARENDI_RTL_CGEN_HH
 
+#include <cstddef>
 #include <functional>
 #include <memory>
 #include <string>
@@ -197,6 +198,16 @@ struct CgenSource
 
     size_t numChunks() const;
 };
+
+/**
+ * Most statements one gang `PG_SIMD` lane loop holds. emitRange batches
+ * each run of single-word-tier ops into one lane loop; a lane statement
+ * makes at most 5 slot references (fused muxes), so a capped run stays
+ * well under g++'s `--param loop-max-datarefs-for-datadeps=1000`, past
+ * which the whole loop is left scalar. Independent of the chunk size:
+ * 64 measured as fast as 128 at R=8 (sr2, gated, bitcoin, pico).
+ */
+inline constexpr size_t kCgenLaneRunStmts = 64;
 
 /**
  * The emitter alone: the C++ source of a translation unit with

@@ -16,6 +16,7 @@ SessionManager::SessionManager(ManagerOptions opt)
     : opt_(std::move(opt)),
       ctrSessionsCreated_(counters_.get("sessions_created")),
       ctrSessionsDestroyed_(counters_.get("sessions_destroyed")),
+      ctrSessionsGuarded_(counters_.get("sessions_guarded")),
       ctrCyclesExecuted_(counters_.get("serve_cycles_executed")),
       ctrLaneCyclesExecuted_(
           counters_.get("serve_lane_cycles_executed")),
@@ -116,6 +117,8 @@ SessionManager::createSession(const std::string &designSpec,
     session->cyclesSnapshot = session->handle->cycles();
     sessions_[session->id] = session;
     ctrSessionsCreated_.add();
+    if (session->handle->engine().activityEnabled())
+        ctrSessionsGuarded_.add();
     return session->id;
 }
 

@@ -185,6 +185,9 @@ class SessionManager
 
     obs::Counter &ctrSessionsCreated_;
     obs::Counter &ctrSessionsDestroyed_;
+    /** Sessions whose engine runs activity guards: the ones where
+     *  makeEngine's probe found enough groups to skip. */
+    obs::Counter &ctrSessionsGuarded_;
     obs::Counter &ctrCyclesExecuted_;
     /** Cycles x replica lanes: equals serve_cycles_executed on a host
      *  with only scalar sessions; gang sessions add R per cycle. */

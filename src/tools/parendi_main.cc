@@ -20,11 +20,12 @@
  *                       of the design in lock-step (SoA lanes; interp,
  *                       cgen and par engines). Scalar pokes drive all
  *                       lanes, scalar peeks read lane 0.
- *     --activity 0|1    activity-guarded evaluation (default 1): skip
- *                       combinational groups whose inputs are
- *                       unchanged since the previous cycle.
- *                       Bit-identical to always-eval; 0 is the A/B
- *                       baseline. interp, cgen and par engines.
+ *     --activity 0|1    activity-guarded evaluation where it pays
+ *                       (default 1): a short probe of the design
+ *                       decides whether to skip combinational groups
+ *                       whose inputs are unchanged since the previous
+ *                       cycle. Bit-identical to always-eval; 0 forces
+ *                       always-eval. interp, cgen and par engines.
  *     --cost-profile FILE  measured per-fiber cost profile: consumed
  *                       before the run (if FILE exists, the par
  *                       engine's LPT partition packs on the measured

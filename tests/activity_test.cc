@@ -20,10 +20,13 @@
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
+#include "ckpt/snapshot.hh"
 #include "core/engine.hh"
 #include "core/session.hh"
+#include "designs/designs.hh"
 #include "obs/costprofile.hh"
 #include "random_netlist.hh"
 #include "rtl/cgen.hh"
@@ -424,4 +427,59 @@ TEST(Repartition, InRunRebalancePreservesState)
     par.step(120);
     ref.step(120);
     compareAllState(par, ref, nl, "stepping after rebalance");
+}
+
+TEST(Activity, ProbeChoosesStream)
+{
+    // makeEngine probes each design and keeps guards only where they
+    // skip enough: always-active bitcoin and sr2 get the straight-line
+    // kernels (no plan), clock-gated gated keeps the guarded ones.
+    // Whichever stream it picks must match the generic interpreter.
+    struct Case
+    {
+        const char *name;
+        Netlist nl;
+        bool guarded;
+    };
+    std::vector<Case> cases;
+    cases.push_back({"bitcoin", designs::makeBitcoin(), false});
+    cases.push_back({"sr2", designs::makeSr(2), false});
+    cases.push_back({"gated", designs::makeGated(), true});
+    // Scalar cgen, gang R=8 cgen and par@2 with native shards.
+    const std::pair<core::EngineKind, uint32_t> engines[] = {
+        {core::EngineKind::Cgen, 1},
+        {core::EngineKind::Cgen, 8},
+        {core::EngineKind::Par, 1}};
+    for (const Case &c : cases) {
+        for (const auto &[kind, replicas] : engines) {
+            core::EngineOptions eo;
+            eo.kind = kind;
+            eo.threads = 2;
+            eo.cgen = true;
+            eo.replicas = replicas;
+            auto engine = core::makeEngine(c.nl, eo);
+            std::string what = std::string(c.name) + " " +
+                               engine->engineName() + " R=" +
+                               std::to_string(replicas);
+            EXPECT_EQ(engine->activityEnabled(), c.guarded) << what;
+            if (auto *cg = dynamic_cast<CgenInterpreter *>(engine.get())) {
+                EXPECT_TRUE(cg->native()) << what;
+                EXPECT_EQ(cg->program().activity.built, c.guarded) << what;
+            }
+            if (auto *par =
+                    dynamic_cast<ParallelInterpreter *>(engine.get())) {
+                EXPECT_TRUE(par->native()) << what;
+            }
+
+            // Every lane of the gang: the reference holds as many.
+            Interpreter ref(c.nl, rtl::LowerOptions::none(), replicas);
+            for (int c64 = 0; c64 < 2048 / 64; ++c64) {
+                engine->step(64);
+                ref.step(64);
+                ASSERT_EQ(ckpt::archStateFnv(*engine),
+                          ckpt::archStateFnv(ref))
+                    << what << " at cycle " << engine->cycles();
+            }
+        }
+    }
 }

@@ -22,6 +22,7 @@
 #include <set>
 #include <sstream>
 #include <thread>
+#include <utility>
 
 #include "ckpt/snapshot.hh"
 #include "core/engine.hh"
@@ -554,5 +555,107 @@ TEST(Cgen, OneInstructionStreamPerKernel)
         ASSERT_EQ(par.enableNativeKernels(copt), par.numShards());
         Interpreter ref(nl, rtl::LowerOptions::none());
         lockStep(par, ref, "par@2 native shards", toggle(par));
+    }
+}
+
+namespace {
+
+/** The first and last line (1-based) of each `PG_SIMD` lane loop of
+ *  @p tu, and the statements it holds. */
+struct LaneLoop
+{
+    size_t open = 0, close = 0, stmts = 0;
+};
+
+std::vector<LaneLoop>
+laneLoops(const std::string &tu)
+{
+    std::vector<LaneLoop> loops;
+    std::istringstream in(tu);
+    std::string line;
+    bool inLoop = false;
+    for (size_t n = 1; std::getline(in, line); ++n) {
+        if (line.find("PG_SIMD for (") != std::string::npos) {
+            loops.push_back({n, 0, 0});
+            inLoop = true;
+        } else if (inLoop && line == "    }") {
+            loops.back().close = n;
+            inLoop = false;
+        } else if (inLoop) {
+            ++loops.back().stmts;
+        }
+    }
+    return loops;
+}
+
+/** Run @p cmd through the shell; true on exit status 0. */
+bool
+runQuiet(const std::string &cmd)
+{
+    return std::system(cmd.c_str()) == 0;
+}
+
+} // namespace
+
+TEST(Cgen, GangLaneRunsStayVectorizable)
+{
+    // Straight-line gang kernels batch each run of single-word ops into
+    // one lane loop; a run past the vectorizer's dataref budget is left
+    // scalar, so emitRange caps every run.
+    rtl::LowerOptions noPlan;
+    noPlan.activityPlan = false;
+    auto straightTu = [&](Netlist nl) {
+        Interpreter plain(std::move(nl), noPlan);
+        return rtl::cgenEmitSource({&plain.program()}, 8);
+    };
+    const std::string sr2Tu = straightTu(designs::makeSr(2));
+    const std::string bitcoinTu = straightTu(designs::makeBitcoin());
+    for (const auto &[name, tu] : {std::pair{"sr2", &sr2Tu},
+                                   std::pair{"bitcoin", &bitcoinTu}}) {
+        std::vector<LaneLoop> loops = laneLoops(*tu);
+        ASSERT_FALSE(loops.empty()) << name;
+        for (const LaneLoop &l : loops) {
+            EXPECT_NE(l.close, 0u) << name << ": unclosed lane loop";
+            EXPECT_LE(l.stmts, rtl::kCgenLaneRunStmts)
+                << name << ": lane loop at line " << l.open;
+        }
+    }
+
+    // Every lane loop must come out vectorized, where the compiler can
+    // say so (g++'s -fopt-info; other compilers skip this half).
+    namespace fs = std::filesystem;
+    const char *cxxEnv = std::getenv("PARENDI_CXX");
+    if (!cxxEnv || !*cxxEnv)
+        cxxEnv = std::getenv("CXX");
+    std::string cxx = cxxEnv && *cxxEnv ? cxxEnv : "c++";
+    fs::path dir = freshBuildDir("vec-report");
+    fs::create_directories(dir);
+    const std::string flags =
+        " -O2 -fPIC -std=c++17 -fopenmp-simd -march=native"
+        " -fopt-info-vec-optimized -c -o /dev/null ";
+    fs::path probe = dir / "probe.cc";
+    std::ofstream(probe) << "int f(int x) { return x; }\n";
+    if (!runQuiet(cxx + flags + probe.string() + " 2>/dev/null"))
+        GTEST_SKIP() << cxx << " does not accept -fopt-info-vec-optimized";
+    fs::path tu = dir / "sr2_r8.cc";
+    fs::path log = dir / "vec.log";
+    std::ofstream(tu) << sr2Tu;
+    ASSERT_TRUE(runQuiet(cxx + flags + tu.string() + " 2>" + log.string()))
+        << "the emitted sr2 R=8 TU does not compile";
+    std::set<size_t> vectorized;
+    std::ifstream in(log);
+    const std::string tag = tu.filename().string() + ":";
+    for (std::string line; std::getline(in, line);) {
+        size_t at = line.find(tag);
+        if (at == std::string::npos ||
+            line.find("loop vectorized") == std::string::npos)
+            continue;
+        vectorized.insert(std::stoul(line.substr(at + tag.size())));
+    }
+    for (const LaneLoop &l : laneLoops(sr2Tu)) {
+        auto hit = vectorized.lower_bound(l.open);
+        EXPECT_TRUE(hit != vectorized.end() && *hit <= l.close)
+            << "sr2 R=8: lane loop at line " << l.open << " ("
+            << l.stmts << " statements) was not vectorized";
     }
 }

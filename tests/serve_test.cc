@@ -10,6 +10,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
 #include <thread>
 #include <vector>
@@ -312,6 +313,11 @@ TEST(Serve, StatsAndArtifactWarmStart)
         return 0;
     };
     EXPECT_EQ(value("sessions_created"), 2u);
+    // Whether the activity probe kept guards is reported per host.
+    EXPECT_TRUE(std::any_of(stats.begin(), stats.end(), [](auto &kv) {
+        return kv.first == "sessions_guarded";
+    }));
+    EXPECT_LE(value("sessions_guarded"), 2u);
     if (native1) {
         // Toolchain available: the second session warm-started.
         EXPECT_TRUE(native2);
