@@ -10,10 +10,12 @@
  * `--json FILE` additionally runs a fixed engine matrix (reference
  * interpreter, the JIT-compiled cgen engine, IpuMachine at 1 and 8
  * host threads, ParallelInterpreter with and without native kernels
- * at several thread counts) on pico and bitcoin and writes the
- * measured cycles/s as a JSON object: git SHA + ISO timestamp
- * metadata plus {design, engine, threads, cycles_per_sec} records
- * (the BENCH_*.json trajectory format — see scripts/bench_baseline.sh).
+ * at several thread counts) on pico and bitcoin — every engine but
+ * ipu built by core::makeEngine with default options, so the activity
+ * probe picks its stream — and writes the measured cycles/s as a JSON
+ * object: git SHA + ISO timestamp metadata plus {design, engine,
+ * threads, cycles_per_sec} records (the BENCH_*.json trajectory
+ * format — see scripts/bench_baseline.sh).
  * Combine with --benchmark_filter=NONE to skip the google-benchmark
  * suite and only emit the matrix. PARENDI_BENCH_FAST=1 trims the
  * measured cycle counts.
@@ -124,15 +126,24 @@ BM_InterpBitcoinSpecializedOnly(benchmark::State &state)
 }
 BENCHMARK(BM_InterpBitcoinSpecializedOnly);
 
+/** A cgen engine as users get it: core::makeEngine with default
+ *  options, so the activity probe picks its instruction stream. */
+std::unique_ptr<core::SimEngine>
+makeCgen(rtl::Netlist nl)
+{
+    core::EngineOptions eo;
+    eo.kind = core::EngineKind::Cgen;
+    return core::makeEngine(std::move(nl), eo);
+}
+
 void
 BM_CgenPico(benchmark::State &state)
 {
-    rtl::CgenInterpreter sim(
-        designs::makePico(designs::defaultCoreConfig()));
-    if (!sim.native())
+    auto sim = makeCgen(designs::makePico(designs::defaultCoreConfig()));
+    if (!static_cast<rtl::CgenInterpreter &>(*sim).native())
         state.SkipWithError("cgen toolchain unavailable");
     for (auto _ : state)
-        sim.step();
+        sim->step();
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CgenPico);
@@ -140,11 +151,11 @@ BENCHMARK(BM_CgenPico);
 void
 BM_CgenBitcoin(benchmark::State &state)
 {
-    rtl::CgenInterpreter sim(designs::makeBitcoin({2, 16}));
-    if (!sim.native())
+    auto sim = makeCgen(designs::makeBitcoin({2, 16}));
+    if (!static_cast<rtl::CgenInterpreter &>(*sim).native())
         state.SkipWithError("cgen toolchain unavailable");
     for (auto _ : state)
-        sim.step();
+        sim->step();
     state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_CgenBitcoin);
@@ -352,15 +363,24 @@ runEngineMatrixFor(const std::string &design, size_t cycles,
         recs.push_back(rec);
     };
 
+    // Every engine but ipu as users get it: core::makeEngine with
+    // default options, so the activity probe picks its stream.
+    auto make = [&](core::EngineKind kind, uint32_t threads, bool cgen) {
+        core::EngineOptions eo;
+        eo.kind = kind;
+        eo.threads = threads;
+        eo.cgen = cgen;
+        return core::makeEngine(bench::makeOptimized(design), eo);
+    };
     {
-        rtl::Interpreter sim(bench::makeOptimized(design));
-        record("interp", 1, sim);
-        attachCkptColumns(sim, recs.back());
+        auto sim = make(core::EngineKind::Interp, 1, false);
+        record("interp", 1, *sim);
+        attachCkptColumns(*sim, recs.back());
     }
     {
-        rtl::CgenInterpreter sim(bench::makeOptimized(design));
-        if (sim.native())
-            record("cgen", 1, sim);
+        auto sim = make(core::EngineKind::Cgen, 1, false);
+        if (static_cast<rtl::CgenInterpreter &>(*sim).native())
+            record("cgen", 1, *sim);
         else
             warn("cgen toolchain unavailable; omitting cgen rows "
                  "for %s", design.c_str());
@@ -376,17 +396,15 @@ runEngineMatrixFor(const std::string &design, size_t cycles,
         ? std::vector<uint32_t>{1, 2, 4, 8}
         : std::vector<uint32_t>{1, 8};
     for (uint32_t threads : par_threads) {
-        rtl::ParallelInterpreter sim(bench::makeOptimized(design),
-                                     threads);
-        record("par", threads, sim);
+        auto sim = make(core::EngineKind::Par, threads, false);
+        record("par", threads, *sim);
     }
     for (uint32_t threads : cgen_threads) {
         // Same BSP supersteps, native evaluate phase (--engine par
         // --cgen on the CLI).
-        rtl::ParallelInterpreter sim(bench::makeOptimized(design),
-                                     threads);
-        if (sim.enableNativeKernels() == sim.numShards())
-            record("par-cgen", threads, sim);
+        auto sim = make(core::EngineKind::Par, threads, true);
+        if (static_cast<rtl::ParallelInterpreter &>(*sim).native())
+            record("par-cgen", threads, *sim);
     }
 }
 

@@ -176,39 +176,47 @@ maybeWarnGangCacheCliff(const rtl::Netlist &nl, uint32_t replicas)
          static_cast<unsigned long long>(fit));
 }
 
-/** Cycles the activity probe interprets from reset. The skip
- *  fraction of every measured design is stable from 16 to 1024. */
+/** Cycles the activity probe interprets from reset. The predicted
+ *  saving of every measured design is stable from 16 to 1024. */
 constexpr size_t kActivityProbeCycles = 64;
 
-/** Least probed skip fraction at which activity guards pay for their
- *  overhead (see DESIGN.md "Activity-aware execution" for the measured
- *  break-even). Below it the engine compiles the straight-line kernel. */
+/** What testing one group's dirty byte costs a guarded sweep, in
+ *  instruction-equivalents (see DESIGN.md "Activity-aware execution"
+ *  for the measurements that set it). */
+constexpr double kActivityGroupCost = 4.0;
+
+/** Least predicted saving at which activity guards pay for their
+ *  overhead. Below it the engine compiles the straight-line kernel. */
 constexpr double kActivityMinSkip = 0.1;
 
 /**
- * Share of activity groups a guarded sweep skips over the first
- * kActivityProbeCycles cycles of @p nl from reset — the ratio the
- * eval_groups_skipped / eval_groups_total counters report — measured
- * on a throwaway plan-carrying program and state. Interpreted, and
- * without a profiler, so it costs milliseconds and little memory.
+ * Predicted share of eval work that activity guards save over the
+ * first kActivityProbeCycles cycles of @p nl from reset: 1 - (executed
+ * instructions + kActivityGroupCost x groups tested) / instructions,
+ * where a guarded sweep tests every group each cycle and the
+ * straight-line stream runs every instruction. Measured on a throwaway
+ * plan-carrying program and state, interpreted and without a profiler,
+ * so it costs milliseconds and little memory. Negative when the guards
+ * cost more than they skip.
  */
 double
-probeSkipFraction(const rtl::Netlist &nl, const rtl::LowerOptions &lower)
+probeActivitySaving(const rtl::Netlist &nl, const rtl::LowerOptions &lower)
 {
     rtl::ProgramBuilder builder(nl);
     builder.addAll();
     rtl::EvalProgram prog = builder.build();
     rtl::lowerProgram(prog, lower);
     rtl::EvalState state(prog);
-    if (!state.enableActivity(true))
+    if (!state.enableActivity(true) || prog.instrs.empty())
         return 0.0;
-    uint64_t run = 0, total = 0;
+    double executed = 0, tested = 0;
     for (size_t c = 0; c < kActivityProbeCycles; ++c) {
         state.step();
-        run += state.lastGroupsRun();
-        total += state.lastGroupsTotal();
+        executed += double(state.lastEvalInstrs());
+        tested += double(state.lastGroupsTotal());
     }
-    return total ? double(total - run) / double(total) : 0.0;
+    double straight = double(prog.instrs.size()) * kActivityProbeCycles;
+    return 1.0 - (executed + kActivityGroupCost * tested) / straight;
 }
 
 } // namespace
@@ -227,7 +235,7 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
         replicas = 1;
     }
     maybeWarnGangCacheCliff(nl, replicas);
-    // Guards are on where a short interpreted probe shows they skip
+    // Guards are on where a short interpreted probe predicts they save
     // enough to pay (ipu has no guarded path and is not probed).
     // Without guards no engine reads the plan, and a program without
     // one compiles to the straight-line native kernel instead of the
@@ -235,11 +243,11 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
     rtl::LowerOptions lower = opt.lower;
     bool guards = opt.activity;
     if (guards && lower.activityPlan && opt.kind != EngineKind::Ipu) {
-        double skip = probeSkipFraction(nl, lower);
-        guards = skip >= kActivityMinSkip;
-        inform("activity: %zu-cycle probe skipped %.1f%% of eval groups; "
-               "%s evaluation", kActivityProbeCycles, skip * 100.0,
-               guards ? "guarded" : "straight-line");
+        double saving = probeActivitySaving(nl, lower);
+        guards = saving >= kActivityMinSkip;
+        inform("activity: %zu-cycle probe predicts guards save %.1f%% "
+               "of eval work; %s evaluation", kActivityProbeCycles,
+               saving * 100.0, guards ? "guarded" : "straight-line");
     }
     if (!guards)
         lower.activityPlan = false;

@@ -311,7 +311,8 @@ struct EngineOptions
     /** Activity-guarded evaluation where it pays (`--activity`;
      *  default on): makeEngine runs a short interpreted probe of the
      *  design and turns guards on — skip combinational groups whose
-     *  inputs are unchanged — only when it skips enough groups;
+     *  inputs are unchanged — only when it predicts they save enough
+     *  eval work to pay for their dirty-byte tests;
      *  otherwise it lowers without a plan, as `--activity 0` always
      *  does, so native kernels are the straight-line ones. Engines
      *  without a guarded path (ipu) are not probed and silently run

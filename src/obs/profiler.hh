@@ -45,6 +45,8 @@
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
+#include <type_traits>
 #include <vector>
 
 #include "obs/clock.hh"
@@ -75,22 +77,26 @@ struct ProfileOptions
     size_t ringCapacity = size_t{1} << 15;
 };
 
-/** One timestamped interval on one worker. */
+/** One timestamped interval on one worker. Trivially
+ *  default-constructible, so a ring's storage starts uninitialized. */
 struct Sample
 {
-    uint64_t t0 = 0;
-    uint64_t t1 = 0;
-    uint64_t cycle = 0;
-    Phase phase = Phase::Eval;
+    uint64_t t0;
+    uint64_t t1;
+    uint64_t cycle;
+    Phase phase;
 };
+static_assert(std::is_trivially_default_constructible_v<Sample>);
 
-/** Fixed-capacity overwrite-oldest sample buffer. Preallocated; a
- *  push never allocates. */
+/** Fixed-capacity overwrite-oldest sample buffer. Preallocated but
+ *  not zero-filled, so a short run never touches the pages it does
+ *  not write; a push never allocates. */
 class SampleRing
 {
   public:
     explicit SampleRing(size_t capacity)
-        : buf_(capacity > 0 ? capacity : 1)
+        : cap_(capacity > 0 ? capacity : 1),
+          buf_(std::make_unique_for_overwrite<Sample[]>(cap_))
     {
     }
 
@@ -98,20 +104,20 @@ class SampleRing
     push(const Sample &s)
     {
         buf_[head_] = s;
-        head_ = (head_ + 1) % buf_.size();
-        if (size_ < buf_.size())
+        head_ = (head_ + 1) % cap_;
+        if (size_ < cap_)
             ++size_;
     }
 
     size_t size() const { return size_; }
-    size_t capacity() const { return buf_.size(); }
+    size_t capacity() const { return cap_; }
     uint64_t pushed() const { return pushed_counter_; }
 
     /** i-th retained sample, oldest first. */
     const Sample &
     at(size_t i) const
     {
-        return buf_[(head_ + buf_.size() - size_ + i) % buf_.size()];
+        return buf_[(head_ + cap_ - size_ + i) % cap_];
     }
 
     void
@@ -121,7 +127,8 @@ class SampleRing
     }
 
   private:
-    std::vector<Sample> buf_;
+    size_t cap_;
+    std::unique_ptr<Sample[]> buf_;
     size_t head_ = 0;
     size_t size_ = 0;
     uint64_t pushed_counter_ = 0;   ///< total pushes incl. overwritten
@@ -182,6 +189,7 @@ class SuperstepProfiler : public util::BspWaitObserver
         s.t0 = windowStart_.load(std::memory_order_relaxed);
         s.t1 = t1;
         s.cycle = cycleIndex_ - 1;
+        s.phase = Phase::Eval;
         cycleRing_.push(s);
         cycleRing_.notePushed();
         sampling_ = false;

@@ -1051,12 +1051,6 @@ emitInstrGang(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
  *  over 512). */
 constexpr size_t kChunkInstrs = 128;
 
-/** Instructions per guarded chunk function (whole activity groups).
- *  Larger than kChunkInstrs: on a mostly idle design a guarded cycle
- *  is little more than its dirty-byte tests and chunk calls, and 128
- *  cost the serve-gated cgen rate about 10%. */
-constexpr size_t kActChunkInstrs = 512;
-
 /** Chunk functions are external (so an entry in one unit can call a
  *  chunk in another) but hidden (so the .so exports only the entries). */
 const char *const kHidden = "__attribute__((visibility(\"hidden\"))) ";
@@ -1485,28 +1479,34 @@ emitEval(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
  * successor (always a later group, so one forward pass suffices — same
  * invariant as EvalState::evalActive) and accounts
  * (1 << 32) | instrs into the packed return value. Chunked into
- * whole-group chunk functions of about kActChunkInstrs instructions.
+ * whole-group chunk functions of up to kCgenActChunkInstrs
+ * instructions, or of one larger group.
  */
 static void
 emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
 {
     const ActivityPlan &ap = prog.activity;
     const size_t ngroups = ap.numGroups();
-    size_t groupsPerChunk = 1;
-    if (!ap.groups.empty()) {
-        uint32_t gsz = std::max<uint32_t>(
-            1, ap.groups[0].endInstr - ap.groups[0].beginInstr);
-        groupsPerChunk = std::max<size_t>(1, kActChunkInstrs / gsz);
+    // Chunk k holds groups [firstGroup[k], firstGroup[k + 1]): whole
+    // groups while they fit kCgenActChunkInstrs, a larger group alone.
+    std::vector<size_t> firstGroup;
+    size_t filled = kCgenActChunkInstrs;
+    for (size_t g = 0; g < ngroups; ++g) {
+        size_t sz = ap.groups[g].endInstr - ap.groups[g].beginInstr;
+        if (filled + sz > kCgenActChunkInstrs) {
+            firstGroup.push_back(g);
+            filled = 0;
+        }
+        filled += sz;
     }
-    size_t numChunks = (ngroups + groupsPerChunk - 1) / groupsPerChunk;
+    const size_t numChunks = firstGroup.size();
+    firstGroup.push_back(ngroups);
     for (size_t ck = 0; ck < numChunks; ++ck) {
         std::ostream &o = tu.openChunk(
             "uint64_t pea" + std::to_string(p) + "_c" + std::to_string(ck) +
             "(uint64_t *s, uint64_t *const *m, uint8_t *d)");
         o << "    (void)s;\n    (void)m;\n    uint64_t r = 0;\n";
-        size_t gLo = ck * groupsPerChunk;
-        size_t gHi = std::min(gLo + groupsPerChunk, ngroups);
-        for (size_t g = gLo; g < gHi; ++g) {
+        for (size_t g = firstGroup[ck]; g < firstGroup[ck + 1]; ++g) {
             const ActivityGroup &ag = ap.groups[g];
             o << "    if (d[" << g << "]) {\n"
               << "    d[" << g << "] = 0;\n";

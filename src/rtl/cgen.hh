@@ -210,6 +210,15 @@ struct CgenSource
 inline constexpr size_t kCgenLaneRunStmts = 64;
 
 /**
+ * Most instructions one guarded chunk function (`pea<i>_c<k>`) packs,
+ * in whole activity groups; a larger group gets a chunk to itself.
+ * Larger than the straight-line chunk: on a mostly idle design a
+ * guarded cycle is little more than its dirty-byte tests and chunk
+ * calls, and 128 cost the serve-gated cgen rate about 10%.
+ */
+inline constexpr size_t kCgenActChunkInstrs = 512;
+
+/**
  * The emitter alone: the C++ source of a translation unit with
  * `extern "C" void parendi_{eval,commit,latch}_<i>(uint64_t *slots,
  * uint64_t *const *mems)` entries per program. Each program's

@@ -225,11 +225,12 @@ constexpr uint32_t kNoSlot = UINT32_MAX;
 
 /**
  * One activity group: a contiguous range of lowered instructions that
- * the activity-guarded eval path runs or skips as a unit. Groups
- * partition the instruction stream in order, so intra-group data flow
- * needs no edges; inter-group flow is recorded as forward successor
- * edges (producer group -> consumer group, always increasing indices
- * because the instruction stream is topologically ordered).
+ * the activity-guarded eval path runs or skips as a unit — one source
+ * class (see buildActivityPlan). Groups partition the instruction
+ * stream in order, so intra-group data flow needs no edges; inter-group
+ * flow is recorded as forward successor edges (producer group ->
+ * consumer group, always increasing indices because the instruction
+ * stream is topologically ordered).
  */
 struct ActivityGroup
 {
@@ -281,9 +282,6 @@ struct LowerOptions
      *  record the dataflow edges/seed maps (buildActivityPlan). The
      *  plan is passive until EvalState::enableActivity(true). */
     bool activityPlan = true;
-    /** Target instructions per activity group. Smaller groups skip at
-     *  finer grain but pay more guard overhead. */
-    uint32_t activityGroupSize = 32;
 
     /** Fully generic program (the A side of A/B comparisons). */
     static LowerOptions
@@ -347,16 +345,25 @@ void lowerProgram(EvalProgram &prog,
                   const LowerOptions &opt = LowerOptions{},
                   LowerStats *stats = nullptr);
 
+/** Source sets larger than this share one "broad" activity class. */
+constexpr uint32_t kActivitySourceCap = 32;
+
 /**
- * (Re)build @p prog's activity plan: partition the instruction stream
- * into groups of roughly @p groupSize instructions, record forward
- * inter-group dataflow edges, and index which groups consume each
- * register, input, and memory. Must run after any pass that reorders
- * or removes instructions (lowerProgram calls it last). If the
- * instruction stream is not topologically ordered the plan is left
- * unbuilt and activity-guarded execution stays disabled.
+ * (Re)build @p prog's activity plan. Each instruction's source class
+ * is the set of registers, input ports and memories it reads, directly
+ * or through the instructions before it; sets past kActivitySourceCap
+ * fall into one broad class. The stream is reordered stably by (set
+ * size with broad last, the class's first instruction, original
+ * index), which stays topological because a producer's set is a
+ * subset of its reader's, and each class becomes one group. Then it
+ * records forward inter-group dataflow edges and indexes which groups
+ * consume each register, input, and memory. Must run after any pass
+ * that reorders or removes instructions (lowerProgram calls it last).
+ * If the instruction stream is not topologically ordered the plan is
+ * left unbuilt, the stream untouched, and activity-guarded execution
+ * stays disabled.
  */
-void buildActivityPlan(EvalProgram &prog, uint32_t groupSize = 32);
+void buildActivityPlan(EvalProgram &prog);
 
 /**
  * Incrementally lowers a subset of a netlist into an EvalProgram.

@@ -20,6 +20,8 @@
  */
 
 #include <algorithm>
+#include <map>
+#include <numeric>
 #include <unordered_map>
 #include <vector>
 
@@ -310,38 +312,125 @@ lowerProgram(EvalProgram &prog, const LowerOptions &opt,
     // The activity plan must see the final instruction stream, so it
     // is (re)built after compaction.
     if (opt.activityPlan)
-        buildActivityPlan(prog, opt.activityGroupSize);
+        buildActivityPlan(prog);
 }
 
 void
-buildActivityPlan(EvalProgram &prog, uint32_t groupSize)
+buildActivityPlan(EvalProgram &prog)
 {
     prog.activity = ActivityPlan{};
     ActivityPlan ap;
-    const std::vector<EvalInstr> &instrs = prog.instrs;
+    std::vector<EvalInstr> &instrs = prog.instrs;
     const uint32_t n = static_cast<uint32_t>(instrs.size());
-    if (groupSize == 0)
-        groupSize = 32;
-    const uint32_t ngroups = (n + groupSize - 1) / groupSize;
 
-    ap.groups.resize(ngroups);
-    // Group of the instruction producing each slot. Each slot is
-    // written by at most one instruction, so a plain map suffices.
+    // Sources: register r is id r, input port j is R + j, memory k is
+    // R + I + k.
+    const uint32_t R = static_cast<uint32_t>(prog.regs.size());
+    const uint32_t I = static_cast<uint32_t>(prog.inputs.size());
+    std::unordered_map<uint32_t, uint32_t> sourceOfSlot;
+    sourceOfSlot.reserve(R + I);
+    for (uint32_t r = 0; r < R; ++r)
+        sourceOfSlot.emplace(prog.regs[r].cur, r);
+    for (uint32_t j = 0; j < I; ++j)
+        sourceOfSlot.emplace(prog.inputs[j].slot, R + j);
+    // Instruction producing each slot. Each slot is written by at most
+    // one instruction, so a plain map suffices.
+    std::unordered_map<uint32_t, uint32_t> producer;
+    producer.reserve(n);
+    for (uint32_t i = 0; i < n; ++i)
+        producer[instrs[i].dst] = i;
+
+    // Source class of each instruction: the interned set of sources it
+    // reads directly or through the instructions before it (its
+    // operands' sets merged with its own reads). Class ids follow
+    // first use, so id order is first-instruction order; the empty set
+    // is class 0. An operand produced at or after its reader means the
+    // stream is not topologically ordered and cannot drive a
+    // single-sweep guard, so leave the plan unbuilt.
+    constexpr uint32_t kBroad = UINT32_MAX;
+    std::vector<std::vector<uint32_t>> sets{{}};
+    std::map<std::vector<uint32_t>, uint32_t> classOf{{{}, 0}};
+    std::vector<uint32_t> cls(n);
+    std::vector<uint32_t> merged;
+    for (uint32_t i = 0; i < n; ++i) {
+        const EvalInstr &in = instrs[i];
+        uint32_t ops[4];
+        int arity = evalInstrOperands(in, ops);
+        bool broad = false;
+        merged.clear();
+        for (int k = 0; k < arity; ++k) {
+            auto p = producer.find(ops[k]);
+            if (p != producer.end()) {
+                if (p->second >= i)
+                    return;
+                uint32_t c = cls[p->second];
+                if (c == kBroad)
+                    broad = true;
+                else
+                    merged.insert(merged.end(), sets[c].begin(),
+                                  sets[c].end());
+            } else if (auto s = sourceOfSlot.find(ops[k]);
+                       s != sourceOfSlot.end()) {
+                merged.push_back(s->second);
+            }
+        }
+        if (evalReadsMemory(in.op))
+            merged.push_back(R + I + in.aux);
+        std::sort(merged.begin(), merged.end());
+        merged.erase(std::unique(merged.begin(), merged.end()),
+                     merged.end());
+        if (broad || merged.size() > kActivitySourceCap) {
+            cls[i] = kBroad;
+            continue;
+        }
+        auto [it, fresh] = classOf.try_emplace(
+            merged, static_cast<uint32_t>(sets.size()));
+        if (fresh)
+            sets.push_back(merged);
+        cls[i] = it->second;
+    }
+
+    // Class rank: set size, then first use, broad last. A producer's
+    // set is a subset of its reader's, so an edge between two classes
+    // runs from a strictly smaller set (or into broad) to a larger
+    // one, and a stable sort of the stream by rank stays topological.
+    const uint32_t C = static_cast<uint32_t>(sets.size());
+    std::vector<uint32_t> byRank(C);
+    std::iota(byRank.begin(), byRank.end(), 0u);
+    std::stable_sort(byRank.begin(), byRank.end(),
+                     [&](uint32_t a, uint32_t b) {
+                         return sets[a].size() < sets[b].size();
+                     });
+    std::vector<uint32_t> rank(C);
+    for (uint32_t k = 0; k < C; ++k)
+        rank[byRank[k]] = k;
+    auto rankOf = [&](uint32_t c) { return c == kBroad ? C : rank[c]; };
+
+    // Counting sort by rank (stable in the original index); each
+    // non-empty bucket, one class, becomes one group.
+    std::vector<uint32_t> start(C + 2, 0);
+    for (uint32_t i = 0; i < n; ++i)
+        ++start[rankOf(cls[i]) + 1];
+    for (uint32_t k = 0; k <= C; ++k) {
+        if (start[k + 1])
+            ap.groups.push_back({start[k], start[k] + start[k + 1], 0, 0});
+        start[k + 1] += start[k];
+    }
+    std::vector<EvalInstr> sorted(n);
+    for (uint32_t i = 0; i < n; ++i)
+        sorted[start[rankOf(cls[i])]++] = instrs[i];
+    instrs = std::move(sorted);
+    const uint32_t ngroups = ap.numGroups();
+
     std::unordered_map<uint32_t, uint32_t> groupOfSlot;
     groupOfSlot.reserve(n);
-    for (uint32_t g = 0; g < ngroups; ++g) {
-        ap.groups[g].beginInstr = g * groupSize;
-        ap.groups[g].endInstr = std::min(n, (g + 1) * groupSize);
+    for (uint32_t g = 0; g < ngroups; ++g)
         for (uint32_t i = ap.groups[g].beginInstr;
              i < ap.groups[g].endInstr; ++i)
             groupOfSlot[instrs[i].dst] = g;
-    }
 
-    // Reader groups per slot, successor edges between groups, and
-    // memory readers. The instruction stream is topologically ordered
-    // (operands precede users), so every cross-group edge points
-    // forward; a backward edge means the invariant broke and the plan
-    // cannot drive a single-sweep guard, so leave it unbuilt.
+    // Reader groups per slot, successor edges between groups (always
+    // forward, by the rank order), and memory readers.
     std::unordered_map<uint32_t, std::vector<uint32_t>> readersOfSlot;
     std::vector<std::vector<uint32_t>> succsOf(ngroups);
     ap.memReaders.assign(prog.mems.size(), {});
@@ -358,8 +447,6 @@ buildActivityPlan(EvalProgram &prog, uint32_t groupSize)
                 auto it = groupOfSlot.find(ops[k]);
                 if (it == groupOfSlot.end() || it->second == g)
                     continue;
-                if (it->second > g)
-                    return; // not topological: no plan
                 std::vector<uint32_t> &sc = succsOf[it->second];
                 if (sc.empty() || sc.back() != g)
                     sc.push_back(g);

@@ -16,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
+#include <map>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -26,11 +28,13 @@
 #include "ckpt/snapshot.hh"
 #include "core/engine.hh"
 #include "core/session.hh"
+#include "designs/cores.hh"
 #include "designs/designs.hh"
 #include "obs/costprofile.hh"
 #include "random_netlist.hh"
 #include "rtl/cgen.hh"
 #include "rtl/dsl.hh"
+#include "rtl/eval.hh"
 #include "rtl/interp.hh"
 #include "util/logging.hh"
 #include "util/rng.hh"
@@ -133,6 +137,85 @@ differentialRun(core::SimEngine &act, core::SimEngine &ref,
         }
     }
 }
+
+/** makeGated with @p units pipelines enabled every @p period cycles. */
+designs::GatedConfig
+gatedConfig(uint32_t units, uint32_t period)
+{
+    designs::GatedConfig cfg;
+    cfg.units = units;
+    cfg.period = period;
+    return cfg;
+}
+
+/** @p nl lowered as the engines lower it, activity plan included. */
+rtl::EvalProgram
+plannedProgram(const Netlist &nl)
+{
+    rtl::ProgramBuilder builder(nl);
+    builder.addAll();
+    rtl::EvalProgram prog = builder.build();
+    rtl::lowerProgram(prog);
+    return prog;
+}
+
+/** Index of the instruction producing each slot of @p prog. */
+std::map<uint32_t, uint32_t>
+producers(const rtl::EvalProgram &prog)
+{
+    std::map<uint32_t, uint32_t> of;
+    for (uint32_t i = 0; i < prog.instrs.size(); ++i)
+        of[prog.instrs[i].dst] = i;
+    return of;
+}
+
+/**
+ * Each instruction's full source set, from scratch: register r is
+ * source r, input j is R + j and memory k is R + I + k, and an
+ * instruction reads the sources it reads directly plus its operands'.
+ * Needs a topologically ordered stream.
+ */
+std::vector<std::vector<uint32_t>>
+sourceSets(const rtl::EvalProgram &prog)
+{
+    const uint32_t R = prog.regs.size(), I = prog.inputs.size();
+    std::map<uint32_t, uint32_t> sourceOf;
+    for (uint32_t r = 0; r < R; ++r)
+        sourceOf[prog.regs[r].cur] = r;
+    for (uint32_t j = 0; j < I; ++j)
+        sourceOf[prog.inputs[j].slot] = R + j;
+    const std::map<uint32_t, uint32_t> producer = producers(prog);
+    std::vector<std::vector<uint32_t>> sets(prog.instrs.size());
+    for (uint32_t i = 0; i < prog.instrs.size(); ++i) {
+        std::vector<uint32_t> &set = sets[i];
+        uint32_t ops[4];
+        int arity = rtl::evalInstrOperands(prog.instrs[i], ops);
+        for (int k = 0; k < arity; ++k) {
+            if (auto p = producer.find(ops[k]); p != producer.end())
+                set.insert(set.end(), sets[p->second].begin(),
+                           sets[p->second].end());
+            else if (auto s = sourceOf.find(ops[k]); s != sourceOf.end())
+                set.push_back(s->second);
+        }
+        if (rtl::evalReadsMemory(prog.instrs[i].op))
+            set.push_back(R + I + prog.instrs[i].aux);
+        std::sort(set.begin(), set.end());
+        set.erase(std::unique(set.begin(), set.end()), set.end());
+    }
+    return sets;
+}
+
+/** The class an instruction's source set falls into: the set itself,
+ *  or the empty "broad" marker past the cap (a real set is never
+ *  confused with it: an empty set is within the cap). */
+std::pair<bool, std::vector<uint32_t>>
+classOf(const std::vector<uint32_t> &set)
+{
+    if (set.size() > rtl::kActivitySourceCap)
+        return {true, {}};
+    return {false, set};
+}
+
 
 } // namespace
 
@@ -432,9 +515,11 @@ TEST(Repartition, InRunRebalancePreservesState)
 TEST(Activity, ProbeChoosesStream)
 {
     // makeEngine probes each design and keeps guards only where they
-    // skip enough: always-active bitcoin and sr2 get the straight-line
-    // kernels (no plan), clock-gated gated keeps the guarded ones.
-    // Whichever stream it picks must match the generic interpreter.
+    // are predicted to save enough eval work: bitcoin, sr2, pico and
+    // rocket get the straight-line kernels (no plan) although guards
+    // would skip up to half of their groups, the clock-gated designs
+    // keep the guarded ones. Whichever stream it picks must match the
+    // generic interpreter.
     struct Case
     {
         const char *name;
@@ -444,7 +529,17 @@ TEST(Activity, ProbeChoosesStream)
     std::vector<Case> cases;
     cases.push_back({"bitcoin", designs::makeBitcoin(), false});
     cases.push_back({"sr2", designs::makeSr(2), false});
+    cases.push_back({"pico",
+                     designs::makePico(designs::defaultCoreConfig()),
+                     false});
+    cases.push_back({"rocket",
+                     designs::makeRocket(designs::defaultCoreConfig()),
+                     false});
     cases.push_back({"gated", designs::makeGated(), true});
+    cases.push_back({"gated(5,3)", designs::makeGated(gatedConfig(5, 3)),
+                     true});
+    cases.push_back({"gated16", designs::makeGated(gatedConfig(16, 16)),
+                     true});
     // Scalar cgen, gang R=8 cgen and par@2 with native shards.
     const std::pair<core::EngineKind, uint32_t> engines[] = {
         {core::EngineKind::Cgen, 1},
@@ -481,5 +576,115 @@ TEST(Activity, ProbeChoosesStream)
                     << what << " at cycle " << engine->cycles();
             }
         }
+    }
+}
+
+TEST(ActivityPlan, SourceClassGroupsKeepTheStreamTopological)
+{
+    // The plan reorders the stream by source class; every operand's
+    // producer must still come before its reader, the groups must tile
+    // the stream, and each group must be exactly one class (the broad
+    // one included) — one maximal run, so no class spans two groups.
+    std::vector<std::pair<std::string, Netlist>> cases;
+    cases.push_back({"gated16", designs::makeGated(gatedConfig(16, 16))});
+    cases.push_back({"gated(5,3)", designs::makeGated(gatedConfig(5, 3))});
+    cases.push_back({"sr2", designs::makeSr(2)});
+    cases.push_back(
+        {"pico", designs::makePico(designs::defaultCoreConfig())});
+    cases.push_back({"bitcoin", designs::makeBitcoin()});
+    for (uint64_t seed = 1; seed <= 8; ++seed)
+        cases.push_back({"random seed " + std::to_string(seed),
+                         randomNetlist(seed, fuzzConfig())});
+    for (const auto &[name, nl] : cases) {
+        rtl::EvalProgram prog = plannedProgram(nl);
+        const rtl::ActivityPlan &ap = prog.activity;
+        ASSERT_TRUE(ap.built) << name;
+        const std::map<uint32_t, uint32_t> producer = producers(prog);
+        for (uint32_t i = 0; i < prog.instrs.size(); ++i) {
+            uint32_t ops[4];
+            int arity = rtl::evalInstrOperands(prog.instrs[i], ops);
+            for (int k = 0; k < arity; ++k) {
+                auto p = producer.find(ops[k]);
+                ASSERT_TRUE(p == producer.end() || p->second < i)
+                    << name << ": instruction " << i << " reads slot "
+                    << ops[k] << " produced by instruction " << p->second;
+            }
+        }
+
+        const auto sets = sourceSets(prog);
+        std::map<std::pair<bool, std::vector<uint32_t>>, uint32_t> groupOf;
+        uint32_t next = 0;
+        for (uint32_t g = 0; g < ap.numGroups(); ++g) {
+            const rtl::ActivityGroup &grp = ap.groups[g];
+            ASSERT_EQ(grp.beginInstr, next) << name << ": group " << g;
+            ASSERT_LT(grp.beginInstr, grp.endInstr) << name;
+            next = grp.endInstr;
+            const auto cls = classOf(sets[grp.beginInstr]);
+            for (uint32_t i = grp.beginInstr; i < grp.endInstr; ++i)
+                ASSERT_EQ(classOf(sets[i]), cls)
+                    << name << ": group " << g << " mixes classes at "
+                    << "instruction " << i;
+            auto [it, fresh] = groupOf.emplace(cls, g);
+            EXPECT_TRUE(fresh) << name << ": groups " << it->second
+                               << " and " << g << " share a class";
+        }
+        EXPECT_EQ(next, prog.instrs.size()) << name;
+    }
+}
+
+TEST(ActivityPlan, GuardedRunMatchesPerInstructionReference)
+{
+    // With one class per group, a guarded sweep runs an instruction
+    // exactly when one of its own sources changed: every cycle, the
+    // interpreted guarded run executes as many instructions as a
+    // brute-force count over an unguarded run's register changes. The
+    // gated designs have no memories and are never poked, so register
+    // changes are the only seeds, and no source set reaches the cap.
+    for (auto [units, period] :
+         {std::pair{16u, 16u}, std::pair{5u, 3u}}) {
+        std::string name = "gated(" + std::to_string(units) + "," +
+                           std::to_string(period) + ")";
+        rtl::EvalProgram prog =
+            plannedProgram(designs::makeGated(gatedConfig(units, period)));
+        ASSERT_TRUE(prog.activity.built) << name;
+        ASSERT_TRUE(prog.mems.empty()) << name;
+        const auto sets = sourceSets(prog);
+        for (const auto &set : sets)
+            ASSERT_LE(set.size(), rtl::kActivitySourceCap) << name;
+
+        rtl::EvalState guarded(prog);
+        ASSERT_TRUE(guarded.enableActivity(true));
+        rtl::EvalState plain(prog);
+        auto regValues = [&]() {
+            std::vector<BitVec> v;
+            for (const rtl::ProgReg &r : prog.regs)
+                v.push_back(plain.readSlot(r.cur, r.width));
+            return v;
+        };
+        // Cycle 0 runs everything: enabling guards marks all dirty.
+        std::vector<bool> changed(prog.regs.size(), true);
+        bool first = true;
+        uint64_t total = 0;
+        for (int cycle = 0; cycle < 64; ++cycle) {
+            uint64_t expect = 0;
+            for (const auto &set : sets)
+                expect += first || std::any_of(
+                    set.begin(), set.end(),
+                    [&](uint32_t s) {
+                        return s < changed.size() && changed[s];
+                    });
+            first = false;
+            std::vector<BitVec> before = regValues();
+            plain.step();
+            guarded.step();
+            ASSERT_EQ(guarded.lastEvalInstrs(), expect)
+                << name << " cycle " << cycle;
+            total += expect;
+            std::vector<BitVec> after = regValues();
+            for (size_t r = 0; r < prog.regs.size(); ++r)
+                changed[r] = before[r] != after[r];
+        }
+        // The guards do skip: far fewer than every instruction runs.
+        EXPECT_LT(total, 64 * prog.instrs.size() / 2) << name;
     }
 }

@@ -560,6 +560,104 @@ TEST(Cgen, OneInstructionStreamPerKernel)
 
 namespace {
 
+/** The activity groups each guarded chunk function of @p src guards,
+ *  in text order. */
+std::vector<std::vector<uint32_t>>
+guardedChunks(const rtl::CgenSource &src)
+{
+    const std::string guard = "    if (d[";
+    std::vector<std::vector<uint32_t>> chunks;
+    for (const rtl::CgenFunction &f : src.functions) {
+        std::string body = src.text.substr(f.begin, f.end - f.begin);
+        if (!f.chunk || body.find("pea0_c") == std::string::npos)
+            continue;
+        chunks.emplace_back();
+        for (size_t at = body.find(guard); at != std::string::npos;
+             at = body.find(guard, at + 1))
+            chunks.back().push_back(
+                std::stoul(body.substr(at + guard.size())));
+    }
+    return chunks;
+}
+
+/** Check the chunking of @p prog's guarded stream against its plan:
+ *  every group once and in order, whole groups per chunk up to
+ *  kCgenActChunkInstrs (a larger group alone), each chunk full. */
+void
+expectPackedChunks(const rtl::EvalProgram &prog, const std::string &what)
+{
+    const rtl::ActivityPlan &ap = prog.activity;
+    auto size = [&](uint32_t g) {
+        return size_t{ap.groups[g].endInstr - ap.groups[g].beginInstr};
+    };
+    const auto chunks = guardedChunks(rtl::cgenEmit({&prog}));
+    ASSERT_FALSE(chunks.empty()) << what;
+    uint32_t next = 0;
+    for (size_t k = 0; k < chunks.size(); ++k) {
+        ASSERT_FALSE(chunks[k].empty()) << what << ": chunk " << k;
+        size_t instrs = 0;
+        for (uint32_t g : chunks[k]) {
+            EXPECT_EQ(g, next++) << what << ": chunk " << k;
+            instrs += size(g);
+        }
+        EXPECT_TRUE(instrs <= rtl::kCgenActChunkInstrs ||
+                    chunks[k].size() == 1)
+            << what << ": chunk " << k << " holds " << instrs
+            << " instructions in " << chunks[k].size() << " groups";
+        if (k + 1 < chunks.size()) {
+            EXPECT_GT(instrs + size(chunks[k + 1].front()),
+                      rtl::kCgenActChunkInstrs)
+                << what << ": chunk " << k << " had room for group "
+                << chunks[k + 1].front();
+        }
+    }
+    EXPECT_EQ(next, ap.numGroups()) << what;
+}
+
+} // namespace
+
+TEST(Cgen, GuardedChunksPackWholeGroups)
+{
+    // Activity groups are source classes of any size; guarded chunks
+    // pack them whole rather than by the first group's size.
+    designs::GatedConfig gated16;
+    gated16.units = 16;
+    for (const auto &[name, nl] :
+         {std::pair{"sr2", designs::makeSr(2)},
+          std::pair{"gated16", designs::makeGated(gated16)}}) {
+        Interpreter planned(nl);
+        const rtl::EvalProgram &prog = planned.program();
+        ASSERT_TRUE(prog.activity.built) << name;
+        uint32_t lo = UINT32_MAX, hi = 0;
+        for (const rtl::ActivityGroup &g : prog.activity.groups) {
+            lo = std::min(lo, g.endInstr - g.beginInstr);
+            hi = std::max(hi, g.endInstr - g.beginInstr);
+        }
+        EXPECT_LT(lo, hi) << name << ": group sizes do not vary";
+        expectPackedChunks(prog, name);
+    }
+
+    // A group larger than a chunk gets a chunk of its own: merge sr2's
+    // leading groups into one (emission only reads the ranges).
+    Interpreter planned(designs::makeSr(2));
+    rtl::EvalProgram prog = planned.program();
+    std::vector<rtl::ActivityGroup> &groups = prog.activity.groups;
+    size_t merged = 1;
+    while (merged < groups.size() &&
+           groups[merged - 1].endInstr <= rtl::kCgenActChunkInstrs + 64)
+        ++merged;
+    ASSERT_LT(merged, groups.size());
+    groups[0].endInstr = groups[merged - 1].endInstr;
+    groups.erase(groups.begin() + 1, groups.begin() + merged);
+    for (rtl::ActivityGroup &g : groups)
+        g.succBegin = g.succEnd = 0;
+    ASSERT_GT(groups[0].endInstr, rtl::kCgenActChunkInstrs);
+    expectPackedChunks(prog, "sr2 with a large first group");
+    EXPECT_EQ(guardedChunks(rtl::cgenEmit({&prog})).front().size(), 1u);
+}
+
+namespace {
+
 /** The first and last line (1-based) of each `PG_SIMD` lane loop of
  *  @p tu, and the statements it holds. */
 struct LaneLoop
