@@ -181,13 +181,23 @@ maybeWarnGangCacheCliff(const rtl::Netlist &nl, uint32_t replicas)
 constexpr size_t kActivityProbeCycles = 64;
 
 /** What testing one group's dirty byte costs a guarded sweep, in
- *  instruction-equivalents (see DESIGN.md "Activity-aware execution"
- *  for the measurements that set it). */
-constexpr double kActivityGroupCost = 4.0;
+ *  instruction-equivalents: the least-squares fit over the scalar and
+ *  gang R=8 rates of the register-resident kernels (see DESIGN.md
+ *  "Activity-aware execution" for the measurements that set it). */
+constexpr double kActivityGroupCost = 6.0;
 
 /** Least predicted saving at which activity guards pay for their
  *  overhead. Below it the engine compiles the straight-line kernel. */
 constexpr double kActivityMinSkip = 0.1;
+
+/** What probeActivitySaving found. */
+struct ActivityProbe
+{
+    double saving = 0.0;
+    /** The probe did not run: `saving` is an upper bound that already
+     *  falls short of kActivityMinSkip. */
+    bool bounded = false;
+};
 
 /**
  * Predicted share of eval work that activity guards save over the
@@ -197,26 +207,37 @@ constexpr double kActivityMinSkip = 0.1;
  * straight-line stream runs every instruction. Measured on a throwaway
  * plan-carrying program and state, interpreted and without a profiler,
  * so it costs milliseconds and little memory. Negative when the guards
- * cost more than they skip.
+ * cost more than they skip. The first cycle runs every instruction, so
+ * the group tests alone bound the saving; a busy design whose bound
+ * falls short of kActivityMinSkip is not stepped at all.
  */
-double
+ActivityProbe
 probeActivitySaving(const rtl::Netlist &nl, const rtl::LowerOptions &lower)
 {
     rtl::ProgramBuilder builder(nl);
     builder.addAll();
     rtl::EvalProgram prog = builder.build();
     rtl::lowerProgram(prog, lower);
+    if (!prog.activity.built || prog.instrs.empty())
+        return {};
+    const double straight =
+        double(prog.instrs.size()) * kActivityProbeCycles;
+    const double tested =
+        double(prog.activity.numGroups()) * kActivityProbeCycles;
+    auto saving = [&](double executed) {
+        return 1.0 - (executed + kActivityGroupCost * tested) / straight;
+    };
+    double bound = saving(double(prog.instrs.size()));
+    if (bound < kActivityMinSkip)
+        return {bound, true};
     rtl::EvalState state(prog);
-    if (!state.enableActivity(true) || prog.instrs.empty())
-        return 0.0;
-    double executed = 0, tested = 0;
+    state.enableActivity(true);
+    double executed = 0;
     for (size_t c = 0; c < kActivityProbeCycles; ++c) {
         state.step();
         executed += double(state.lastEvalInstrs());
-        tested += double(state.lastGroupsTotal());
     }
-    double straight = double(prog.instrs.size()) * kActivityProbeCycles;
-    return 1.0 - (executed + kActivityGroupCost * tested) / straight;
+    return {saving(executed), false};
 }
 
 } // namespace
@@ -243,11 +264,12 @@ makeEngine(rtl::Netlist nl, const EngineOptions &opt)
     rtl::LowerOptions lower = opt.lower;
     bool guards = opt.activity;
     if (guards && lower.activityPlan && opt.kind != EngineKind::Ipu) {
-        double saving = probeActivitySaving(nl, lower);
-        guards = saving >= kActivityMinSkip;
-        inform("activity: %zu-cycle probe predicts guards save %.1f%% "
+        ActivityProbe probe = probeActivitySaving(nl, lower);
+        guards = probe.saving >= kActivityMinSkip;
+        inform("activity: %zu-cycle probe predicts guards save %s%.1f%% "
                "of eval work; %s evaluation", kActivityProbeCycles,
-               saving * 100.0, guards ? "guarded" : "straight-line");
+               probe.bounded ? "at most " : "", probe.saving * 100.0,
+               guards ? "guarded" : "straight-line");
     }
     if (!guards)
         lower.activityPlan = false;

@@ -68,6 +68,247 @@ P(uint32_t slot)
 }
 
 /**
+ * Ops whose gang emission is a single per-lane statement (the
+ * specialized single-word W tier and the fused superinstructions).
+ * Consecutive instructions in this tier are batched into ONE `PG_SIMD
+ * for (lane...)` loop over the whole run (emitRange): one loop per
+ * *instruction* would force every operand through the slots array and
+ * cost ~an order of magnitude per lane. Inside the run a value no
+ * later block reads is a C++ local (SlotHomes), which the vectorized
+ * loop keeps in a vector register. MemReadW is excluded
+ * (data-dependent address: its lane gather would block vectorization
+ * of the whole run).
+ */
+bool
+gangSimdTier(EvalOp op)
+{
+    switch (op) {
+      case EvalOp::NotW:
+      case EvalOp::NegW:
+      case EvalOp::RedAndW:
+      case EvalOp::RedOrW:
+      case EvalOp::RedXorW:
+      case EvalOp::AndW:
+      case EvalOp::OrW:
+      case EvalOp::XorW:
+      case EvalOp::AddW:
+      case EvalOp::SubW:
+      case EvalOp::MulW:
+      case EvalOp::ShlW:
+      case EvalOp::ShrW:
+      case EvalOp::SraW:
+      case EvalOp::EqW:
+      case EvalOp::NeW:
+      case EvalOp::UltW:
+      case EvalOp::UleW:
+      case EvalOp::SltW:
+      case EvalOp::SleW:
+      case EvalOp::MuxW:
+      case EvalOp::ConcatW:
+      case EvalOp::SliceW:
+      case EvalOp::ZExtW:
+      case EvalOp::SExtW:
+      case EvalOp::AndNotW:
+      case EvalOp::OrNotW:
+      case EvalOp::XorNotW:
+      case EvalOp::EqMuxW:
+      case EvalOp::NeMuxW:
+      case EvalOp::UltMuxW:
+      case EvalOp::UleMuxW:
+      case EvalOp::SltMuxW:
+      case EvalOp::SleMuxW:
+        return true;
+      default:
+        return false;
+    }
+}
+
+/** True when the emitters write @p op's result with one `d = <expr>`
+ *  assignment rather than through a pointer. */
+bool
+directResult(EvalOp op)
+{
+    switch (op) {
+      case EvalOp::RedAnd:
+      case EvalOp::RedOr:
+      case EvalOp::RedXor:
+      case EvalOp::Eq:
+      case EvalOp::Ne:
+      case EvalOp::Ult:
+      case EvalOp::Ule:
+      case EvalOp::Slt:
+      case EvalOp::Sle:
+        return true;
+      default:
+        return !isGenericEvalOp(op);
+    }
+}
+
+/** End of the gang lane-loop run that starts at instruction @p i of a
+ *  block ending at @p hi: the single-word-tier ops from i on, at most
+ *  kCgenLaneRunStmts of them (i itself when it is not in the tier). */
+size_t
+laneRunEnd(const EvalProgram &prog, size_t i, size_t hi)
+{
+    size_t end = i;
+    while (end < hi && end - i < kCgenLaneRunStmts &&
+           gangSimdTier(prog.instrs[end].op))
+        ++end;
+    return end;
+}
+
+/** An instruction range [first, second) of one program. */
+using InstrRange = std::pair<size_t, size_t>;
+
+/**
+ * Where each slot word of one program lives in its emitted kernel:
+ * the one residency pass the straight-line, guarded and gang streams
+ * share. An emitted stream is a sequence of blocks: the scalar
+ * straight-line stream's chunk functions, the guarded stream's
+ * activity groups, and in gang kernels each `PG_SIMD` lane-loop run
+ * (any other gang op is a loop of its own and defines no local).
+ *
+ *  - Local: a `const uint64_t t<N>` C++ local. The slot is written
+ *    once by a single-word direct-result instruction, is not pinned,
+ *    is not read through a pointer by a generic-tier op, and every
+ *    reader sits in the writer's block (a value nothing reads is a
+ *    local wherever it is written). A value a later block reads stays
+ *    in the slot array, so a skipped activity group leaves its last
+ *    outputs there.
+ *  - Literal: no instruction writes the word and it is not pinned, so
+ *    it always holds its initSlots value, which is emitted in its
+ *    place (the compiler then folds compare- and shift-by-constant).
+ *    Lane loops take the literal only where it folds (see val()).
+ *  - Slot: everything else, `s[N]` (`s[N * L + l]` in lane loops).
+ *
+ * Built per program and passed to the emitters as a parameter, so
+ * concurrent emissions share nothing.
+ */
+class SlotHomes
+{
+  public:
+    SlotHomes(const EvalProgram &prog, const std::vector<InstrRange> &blocks,
+              uint32_t lanes)
+        : prog_(prog), L_(lanes), home_(prog.numSlots(), Home::Slot)
+    {
+        constexpr uint32_t kNoBlock = UINT32_MAX;
+        const std::vector<bool> pinned = pinnedSlots(prog);
+        const size_t n = prog.instrs.size();
+        std::vector<uint32_t> blockOf(n, kNoBlock);
+        uint32_t next = 0;
+        for (const auto &[lo, hi] : blocks) {
+            if (L_ == 1) {
+                for (size_t i = lo; i < hi; ++i)
+                    blockOf[i] = next;
+                ++next;
+                continue;
+            }
+            for (size_t i = lo; i < hi;) {
+                size_t end = laneRunEnd(prog, i, hi);
+                if (end == i) {
+                    ++i;
+                    continue;
+                }
+                for (; i < end; ++i)
+                    blockOf[i] = next;
+                ++next;
+            }
+        }
+
+        // Every unpinned direct single-word result starts as a local in
+        // its writer's block; a reader through a pointer (any generic
+        // operand but a mux select), from another block or from a gang
+        // op's own loop sends it back to memory. A value nothing reads
+        // stays a local wherever it is written.
+        std::vector<bool> written(prog.numSlots(), false);
+        std::vector<bool> local(prog.numSlots(), false);
+        std::vector<uint32_t> writerBlock(prog.numSlots(), kNoBlock);
+        for (size_t i = 0; i < n; ++i) {
+            const EvalInstr &in = prog.instrs[i];
+            for (uint32_t w = 0; w < nw(in.width); ++w)
+                written[in.dst + w] = true;
+            local[in.dst] = directResult(in.op) && nw(in.width) == 1 &&
+                !pinned[in.dst];
+            writerBlock[in.dst] = blockOf[i];
+        }
+        for (size_t i = 0; i < n; ++i) {
+            const EvalInstr &in = prog.instrs[i];
+            uint32_t ops[4];
+            int arity = evalInstrOperands(in, ops);
+            bool pointers = isGenericEvalOp(in.op);
+            for (int k = 0; k < arity; ++k)
+                if ((pointers && !(in.op == EvalOp::Mux && k == 0)) ||
+                    blockOf[i] == kNoBlock ||
+                    writerBlock[ops[k]] != blockOf[i])
+                    local[ops[k]] = false;
+        }
+        for (uint32_t w = 0; w < prog.numSlots(); ++w) {
+            if (local[w])
+                home_[w] = Home::Local;
+            else if (!written[w] && !pinned[w])
+                home_[w] = Home::Literal;
+        }
+    }
+
+    uint32_t lanes() const { return L_; }
+
+    /**
+     * Expression reading slot word @p w. In lane loops a non-zero
+     * literal is read from its slot instead: a vector literal costs a
+     * general-register broadcast per use (an AVX-512 port-5 µop, the
+     * port the lane compares and blends need), where a slot read folds
+     * into the op as a memory operand. That broadcast cost pico's gang
+     * R=8 kernel about 15%.
+     */
+    std::string
+    val(uint32_t w) const
+    {
+        if (home_[w] == Home::Literal && L_ > 1 && prog_.initSlots[w])
+            return slot(w);
+        return folded(w);
+    }
+
+    /** val() for an operand the compiler folds away when it is a
+     *  constant (a shift amount, a mux select): a literal in lane
+     *  loops too. */
+    std::string
+    folded(uint32_t w) const
+    {
+        switch (home_[w]) {
+          case Home::Local:
+            return "t" + std::to_string(w);
+          case Home::Literal:
+            return hexConst(prog_.initSlots[w]);
+          default:
+            return slot(w);
+        }
+    }
+
+    /** Start of the statement assigning single-word slot @p w. */
+    std::string
+    def(uint32_t w) const
+    {
+        if (home_[w] == Home::Local)
+            return "const uint64_t t" + std::to_string(w) + " = ";
+        return slot(w) + " = ";
+    }
+
+  private:
+    enum class Home : uint8_t { Slot, Local, Literal };
+
+    std::string
+    slot(uint32_t w) const
+    {
+        return L_ == 1 ? S(w)
+                       : "s[" + std::to_string(uint64_t(w) * L_) + " + l]";
+    }
+
+    const EvalProgram &prog_;
+    uint32_t L_;
+    std::vector<Home> home_;
+};
+
+/**
  * Word-loop helpers prepended to every generated TU. Each is a
  * verbatim port of the matching eval.cc kernel (addVal, shlVal, ucmp,
  * ...), so the emitted code computes exactly what the interpreter
@@ -354,24 +595,133 @@ static inline void pg_memread(uint64_t *d, const uint64_t *img,
 }
 )__";
 
-/** One lowered instruction -> one generated statement. W/fused tiers
- *  become single expressions with emit-time constant masks; the
- *  generic tier becomes pw_* helper calls with literal widths/word
- *  counts the compiler specializes. */
-void
-emitInstr(std::ostream &o, const EvalInstr &in, const EvalProgram &prog)
+/**
+ * The expression computing single-word-tier instruction @p in (the W
+ * and fused tiers), over the residency @p h: operands are slots,
+ * locals or literals, and in gang lane loops (h.lanes() > 1) `l` is
+ * the lane. One form serves the scalar and the gang streams. Shifts
+ * are branchless so a lane loop if-converts: the amount is wrapped to
+ * a defined shift (b & 63) and the out-of-range case is zeroed with an
+ * all-ones/all-zero mask (0 - (b < w)) instead of a ternary over the
+ * shift itself, which the vectorizer must not speculate (UB for
+ * b >= 64).
+ */
+std::string
+wordExpr(const EvalInstr &in, const EvalProgram &prog, const SlotHomes &h)
 {
-    const std::string d = S(in.dst);
-    const std::string a = S(in.a);
-    const std::string b = S(in.b);
-    const std::string c = S(in.c);
+    auto A = [&]() { return h.val(in.a); };
+    auto B = [&]() { return h.val(in.b); };
+    auto C = [&]() { return h.val(in.c); };
+    auto sx = [](const std::string &v, uint16_t w) {
+        return "pw_sx(" + v + ", " + std::to_string(w) + ")";
+    };
+    const std::string m = maskAnd(in.width);
+    const std::string w = std::to_string(in.width) + "u";
+    auto bin = [&](const char *op) {
+        return "(" + A() + op + B() + ")" + m;
+    };
+    auto sel = [&](const std::string &cond) {
+        return cond + " ? " + C() + " : " + h.val(in.aux);
+    };
+    // A shift amount and a mux select fold away when constant.
+    auto amt = [&]() { return h.folded(in.b); };
+    auto inRange = [&]() {
+        return " & (0 - (uint64_t)(" + amt() + " < " + w + "))";
+    };
+
+    switch (in.op) {
+      case EvalOp::NotW: return "~" + A() + m;
+      case EvalOp::NegW: return "(0 - " + A() + ")" + m;
+      case EvalOp::RedAndW:
+        return A() + " == " + hexConst(topMaskOf(in.wa));
+      case EvalOp::RedOrW: return A() + " != 0";
+      case EvalOp::RedXorW: return "pw_par(" + A() + ")";
+      case EvalOp::AndW: return bin(" & ");
+      case EvalOp::OrW: return bin(" | ");
+      case EvalOp::XorW: return bin(" ^ ");
+      case EvalOp::AddW: return bin(" + ");
+      case EvalOp::SubW: return bin(" - ");
+      case EvalOp::MulW: return bin(" * ");
+      case EvalOp::AndNotW: return bin(" & ~");
+      case EvalOp::OrNotW: return bin(" | ~");
+      case EvalOp::XorNotW: return bin(" ^ ~");
+      case EvalOp::ShlW:
+        return "((" + A() + " << (" + amt() + " & 63))" + m + ")" +
+            inRange();
+      case EvalOp::ShrW:
+        return "(" + A() + " >> (" + amt() + " & 63))" + inRange();
+      case EvalOp::SraW:
+        return "(uint64_t)(" + sx(A(), in.width) + " >> (" + amt() +
+            " < " + w + " ? " + amt() + " : " +
+            std::to_string(in.width - 1) + "u))" + m;
+      case EvalOp::EqW: return A() + " == " + B();
+      case EvalOp::NeW: return A() + " != " + B();
+      case EvalOp::UltW: return A() + " < " + B();
+      case EvalOp::UleW: return A() + " <= " + B();
+      case EvalOp::SltW: return sx(A(), in.wa) + " < " + sx(B(), in.wa);
+      case EvalOp::SleW: return sx(A(), in.wa) + " <= " + sx(B(), in.wa);
+      case EvalOp::MuxW:
+        return "(" + h.folded(in.a) + " & 1) ? " + B() + " : " + C();
+      case EvalOp::ConcatW:
+        return "(" + A() + " << " + std::to_string(in.wb) + ") | " + B();
+      case EvalOp::SliceW: {
+        uint32_t ws = in.aux >> 6;
+        uint32_t bs = in.aux & 63;
+        std::string lo = h.val(in.a + ws);
+        std::string v;
+        if (bs == 0)
+            v = lo;
+        else if (ws + 1 < nw(in.wa))
+            v = "(" + lo + " >> " + std::to_string(bs) + ") | (" +
+                h.val(in.a + ws + 1) + " << " + std::to_string(64 - bs) +
+                ")";
+        else
+            v = lo + " >> " + std::to_string(bs);
+        return "(" + v + ")" + m;
+      }
+      case EvalOp::ZExtW: return A();
+      case EvalOp::SExtW: return "(uint64_t)" + sx(A(), in.wa) + m;
+      case EvalOp::EqMuxW: return sel(A() + " == " + B());
+      case EvalOp::NeMuxW: return sel(A() + " != " + B());
+      case EvalOp::UltMuxW: return sel(A() + " < " + B());
+      case EvalOp::UleMuxW: return sel(A() + " <= " + B());
+      case EvalOp::SltMuxW:
+        return sel(sx(A(), in.wa) + " < " + sx(B(), in.wa));
+      case EvalOp::SleMuxW:
+        return sel(sx(A(), in.wa) + " <= " + sx(B(), in.wa));
+      case EvalOp::MemReadW: {
+        // A gang read gathers lane l's entry (entries are lane-major).
+        std::string at = h.lanes() == 1
+            ? A() : A() + " * " + std::to_string(h.lanes()) + " + l";
+        return A() + " < " + std::to_string(prog.mems[in.aux].depth) +
+            "ull ? m[" + std::to_string(in.aux) + "][" + at + "] : 0";
+      }
+      default:
+        panic("cgen: op %s is not in the single-word tier",
+              evalOpName(in.op));
+    }
+}
+
+/** One lowered instruction -> one generated statement. W/fused tiers
+ *  become single expressions (wordExpr) with emit-time constant masks;
+ *  the generic tier becomes pw_* helper calls with literal widths/word
+ *  counts the compiler specializes, over pointers into the slot array
+ *  (SlotHomes never gives a pointer-read slot a local). */
+void
+emitInstr(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
+          const SlotHomes &h)
+{
     const uint32_t n = nw(in.width);
     const uint32_t na = nw(in.wa);
     const uint32_t nb = nw(in.wb);
 
     o << "    ";
+    if (!isGenericEvalOp(in.op)) {
+        o << h.def(in.dst) << wordExpr(in, prog, h) << ";\n";
+        return;
+    }
+    const std::string d = h.def(in.dst);
     switch (in.op) {
-        // -- Generic multi-word tier -----------------------------------
       case EvalOp::Not:
         o << "pw_not(" << P(in.dst) << ", " << P(in.a) << ", " << n << ", "
           << hexConst(topMaskOf(in.width)) << ");\n";
@@ -381,14 +731,14 @@ emitInstr(std::ostream &o, const EvalInstr &in, const EvalProgram &prog)
           << hexConst(topMaskOf(in.width)) << ");\n";
         break;
       case EvalOp::RedAnd:
-        o << d << " = pw_redand(" << P(in.a) << ", " << na << ", "
+        o << d << "pw_redand(" << P(in.a) << ", " << na << ", "
           << hexConst(topMaskOf(in.wa)) << ");\n";
         break;
       case EvalOp::RedOr:
-        o << d << " = !pw_iszero(" << P(in.a) << ", " << na << ");\n";
+        o << d << "!pw_iszero(" << P(in.a) << ", " << na << ");\n";
         break;
       case EvalOp::RedXor:
-        o << d << " = pw_redxor(" << P(in.a) << ", " << na << ");\n";
+        o << d << "pw_redxor(" << P(in.a) << ", " << na << ");\n";
         break;
       case EvalOp::And:
         o << "pw_and(" << P(in.dst) << ", " << P(in.a) << ", " << P(in.b)
@@ -430,32 +780,32 @@ emitInstr(std::ostream &o, const EvalInstr &in, const EvalProgram &prog)
           << hexConst(topMaskOf(in.width)) << ");\n";
         break;
       case EvalOp::Eq:
-        o << d << " = pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
+        o << d << "pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
           << ") == 0;\n";
         break;
       case EvalOp::Ne:
-        o << d << " = pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
+        o << d << "pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
           << ") != 0;\n";
         break;
       case EvalOp::Ult:
-        o << d << " = pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
+        o << d << "pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
           << ") < 0;\n";
         break;
       case EvalOp::Ule:
-        o << d << " = pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
+        o << d << "pw_ucmp(" << P(in.a) << ", " << P(in.b) << ", " << na
           << ") <= 0;\n";
         break;
       case EvalOp::Slt:
-        o << d << " = pw_scmp(" << P(in.a) << ", " << P(in.b) << ", "
+        o << d << "pw_scmp(" << P(in.a) << ", " << P(in.b) << ", "
           << in.wa << ", " << na << ") < 0;\n";
         break;
       case EvalOp::Sle:
-        o << d << " = pw_scmp(" << P(in.a) << ", " << P(in.b) << ", "
+        o << d << "pw_scmp(" << P(in.a) << ", " << P(in.b) << ", "
           << in.wa << ", " << na << ") <= 0;\n";
         break;
       case EvalOp::Mux:
-        o << "pw_copy(" << P(in.dst) << ", (" << a << " & 1) ? " << P(in.b)
-          << " : " << P(in.c) << ", " << n << ");\n";
+        o << "pw_copy(" << P(in.dst) << ", (" << h.val(in.a) << " & 1) ? "
+          << P(in.b) << " : " << P(in.c) << ", " << n << ");\n";
         break;
       case EvalOp::Concat:
         o << "pw_concat(" << P(in.dst) << ", " << P(in.a) << ", " << P(in.b)
@@ -483,415 +833,39 @@ emitInstr(std::ostream &o, const EvalInstr &in, const EvalProgram &prog)
           << pm.entryWords << ");\n";
         break;
       }
-
-        // -- Specialized single-word tier ------------------------------
-      case EvalOp::NotW:
-        o << d << " = ~" << a << maskAnd(in.width) << ";\n";
-        break;
-      case EvalOp::NegW:
-        o << d << " = (0 - " << a << ")" << maskAnd(in.width) << ";\n";
-        break;
-      case EvalOp::RedAndW:
-        o << d << " = " << a << " == " << hexConst(topMaskOf(in.wa))
-          << ";\n";
-        break;
-      case EvalOp::RedOrW:
-        o << d << " = " << a << " != 0;\n";
-        break;
-      case EvalOp::RedXorW:
-        o << d << " = pw_par(" << a << ");\n";
-        break;
-      case EvalOp::AndW:
-        o << d << " = (" << a << " & " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::OrW:
-        o << d << " = (" << a << " | " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::XorW:
-        o << d << " = (" << a << " ^ " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::AddW:
-        o << d << " = (" << a << " + " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::SubW:
-        o << d << " = (" << a << " - " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::MulW:
-        o << d << " = (" << a << " * " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::ShlW:
-        o << "{ uint64_t t = " << b << "; " << d << " = t >= " << in.width
-          << "u ? 0 : (" << a << " << t)" << maskAnd(in.width) << "; }\n";
-        break;
-      case EvalOp::ShrW:
-        o << "{ uint64_t t = " << b << "; " << d << " = t >= " << in.width
-          << "u ? 0 : " << a << " >> t; }\n";
-        break;
-      case EvalOp::SraW:
-        o << "{ uint64_t t = " << b << "; if (t >= " << in.width
-          << "u) t = " << (in.width - 1) << "u; " << d
-          << " = (uint64_t)(pw_sx(" << a << ", " << in.width << ") >> t)"
-          << maskAnd(in.width) << "; }\n";
-        break;
-      case EvalOp::EqW:
-        o << d << " = " << a << " == " << b << ";\n";
-        break;
-      case EvalOp::NeW:
-        o << d << " = " << a << " != " << b << ";\n";
-        break;
-      case EvalOp::UltW:
-        o << d << " = " << a << " < " << b << ";\n";
-        break;
-      case EvalOp::UleW:
-        o << d << " = " << a << " <= " << b << ";\n";
-        break;
-      case EvalOp::SltW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") < pw_sx(" << b
-          << ", " << in.wa << ");\n";
-        break;
-      case EvalOp::SleW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") <= pw_sx(" << b
-          << ", " << in.wa << ");\n";
-        break;
-      case EvalOp::MuxW:
-        o << d << " = (" << a << " & 1) ? " << b << " : " << c << ";\n";
-        break;
-      case EvalOp::ConcatW:
-        o << d << " = (" << a << " << " << in.wb << ") | " << b << ";\n";
-        break;
-      case EvalOp::SliceW: {
-        uint32_t ws = in.aux >> 6;
-        uint32_t bs = in.aux & 63;
-        std::string lo = S(in.a + ws);
-        std::string v;
-        if (bs == 0)
-            v = lo;
-        else if (ws + 1 < na)
-            v = "(" + lo + " >> " + std::to_string(bs) + ") | (" +
-                S(in.a + ws + 1) + " << " + std::to_string(64 - bs) + ")";
-        else
-            v = lo + " >> " + std::to_string(bs);
-        o << d << " = (" << v << ")" << maskAnd(in.width) << ";\n";
-        break;
-      }
-      case EvalOp::ZExtW:
-        o << d << " = " << a << ";\n";
-        break;
-      case EvalOp::SExtW:
-        o << d << " = (uint64_t)pw_sx(" << a << ", " << in.wa << ")"
-          << maskAnd(in.width) << ";\n";
-        break;
-      case EvalOp::MemReadW: {
-        const ProgMem &pm = prog.mems[in.aux];
-        o << d << " = " << a << " < " << pm.depth << "ull ? m[" << in.aux
-          << "][" << a << "] : 0;\n";
-        break;
-      }
-
-        // -- Fused superinstructions -----------------------------------
-      case EvalOp::AndNotW:
-        o << d << " = (" << a << " & ~" << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::OrNotW:
-        o << d << " = (" << a << " | ~" << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::XorNotW:
-        o << d << " = (" << a << " ^ ~" << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::EqMuxW:
-        o << d << " = " << a << " == " << b << " ? " << c << " : "
-          << S(in.aux) << ";\n";
-        break;
-      case EvalOp::NeMuxW:
-        o << d << " = " << a << " != " << b << " ? " << c << " : "
-          << S(in.aux) << ";\n";
-        break;
-      case EvalOp::UltMuxW:
-        o << d << " = " << a << " < " << b << " ? " << c << " : "
-          << S(in.aux) << ";\n";
-        break;
-      case EvalOp::UleMuxW:
-        o << d << " = " << a << " <= " << b << " ? " << c << " : "
-          << S(in.aux) << ";\n";
-        break;
-      case EvalOp::SltMuxW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") < pw_sx(" << b
-          << ", " << in.wa << ") ? " << c << " : " << S(in.aux) << ";\n";
-        break;
-      case EvalOp::SleMuxW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") <= pw_sx(" << b
-          << ", " << in.wa << ") ? " << c << " : " << S(in.aux) << ";\n";
-        break;
-
       default:
         panic("cgen: cannot emit opcode %s", evalOpName(in.op));
     }
 }
 
 /**
- * Ops whose gang emission is a single per-lane statement (the
- * specialized single-word W tier and the fused superinstructions).
- * Consecutive instructions in this tier are batched into ONE `PG_SIMD
- * for (lane...)` loop over the whole run (emitGangLaneRun): inside one
- * lane iteration every slot access has a constant offset plus `l`, so
- * the compiler register-allocates intermediate values across the run
- * exactly as it does for the scalar emitter's straight-line code —
- * one loop per *instruction* would force every operand through the
- * slots array and cost ~an order of magnitude per lane. MemReadW is
- * excluded (data-dependent address: its lane gather would block
- * vectorization of the whole run).
- */
-bool
-gangSimdTier(EvalOp op)
-{
-    switch (op) {
-      case EvalOp::NotW:
-      case EvalOp::NegW:
-      case EvalOp::RedAndW:
-      case EvalOp::RedOrW:
-      case EvalOp::RedXorW:
-      case EvalOp::AndW:
-      case EvalOp::OrW:
-      case EvalOp::XorW:
-      case EvalOp::AddW:
-      case EvalOp::SubW:
-      case EvalOp::MulW:
-      case EvalOp::ShlW:
-      case EvalOp::ShrW:
-      case EvalOp::SraW:
-      case EvalOp::EqW:
-      case EvalOp::NeW:
-      case EvalOp::UltW:
-      case EvalOp::UleW:
-      case EvalOp::SltW:
-      case EvalOp::SleW:
-      case EvalOp::MuxW:
-      case EvalOp::ConcatW:
-      case EvalOp::SliceW:
-      case EvalOp::ZExtW:
-      case EvalOp::SExtW:
-      case EvalOp::AndNotW:
-      case EvalOp::OrNotW:
-      case EvalOp::XorNotW:
-      case EvalOp::EqMuxW:
-      case EvalOp::NeMuxW:
-      case EvalOp::UltMuxW:
-      case EvalOp::UleMuxW:
-      case EvalOp::SltMuxW:
-      case EvalOp::SleMuxW:
-        return true;
-      default:
-        return false;
-    }
-}
-
-/** One gangSimdTier instruction -> one per-lane statement, emitted
- *  inside an enclosing `for (uint64_t l ...)` lane loop. The
- *  expressions are exactly the scalar emitter's, over the lane-major
- *  layout (word w of slot t for lane l at s[(t + w) * L + l]). */
-void
-emitGangLaneStmt(std::ostream &o, const EvalInstr &in, uint32_t L)
-{
-    auto SL = [L](uint32_t slot) {
-        return "s[" + std::to_string(uint64_t(slot) * L) + " + l]";
-    };
-    const std::string d = SL(in.dst);
-    const std::string a = SL(in.a);
-    const std::string b = SL(in.b);
-    const std::string c = SL(in.c);
-    const uint32_t na = nw(in.wa);
-    o << "        ";
-
-    switch (in.op) {
-      case EvalOp::NotW:
-        o << d << " = ~" << a << maskAnd(in.width) << ";\n";
-        break;
-      case EvalOp::NegW:
-        o << d << " = (0 - " << a << ")" << maskAnd(in.width) << ";\n";
-        break;
-      case EvalOp::RedAndW:
-        o << d << " = " << a << " == " << hexConst(topMaskOf(in.wa))
-          << ";\n";
-        break;
-      case EvalOp::RedOrW:
-        o << d << " = " << a << " != 0;\n";
-        break;
-      case EvalOp::RedXorW:
-        o << d << " = pw_par(" << a << ");\n";
-        break;
-      case EvalOp::AndW:
-        o << d << " = (" << a << " & " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::OrW:
-        o << d << " = (" << a << " | " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::XorW:
-        o << d << " = (" << a << " ^ " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::AddW:
-        o << d << " = (" << a << " + " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::SubW:
-        o << d << " = (" << a << " - " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::MulW:
-        o << d << " = (" << a << " * " << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-        // Shifts are branchless so the lane loop if-converts: the
-        // amount is wrapped to a defined shift (t & 63) and the
-        // out-of-range case is zeroed with an all-ones/all-zero mask
-        // (0 - (t < w)) instead of a ternary over the shift itself,
-        // which the vectorizer must not speculate (UB for t >= 64).
-      case EvalOp::ShlW:
-        o << "{ uint64_t t = " << b << "; " << d << " = ((" << a
-          << " << (t & 63))" << maskAnd(in.width)
-          << ") & (0 - (uint64_t)(t < " << in.width << "u)); }\n";
-        break;
-      case EvalOp::ShrW:
-        o << "{ uint64_t t = " << b << "; " << d << " = (" << a
-          << " >> (t & 63)) & (0 - (uint64_t)(t < " << in.width
-          << "u)); }\n";
-        break;
-      case EvalOp::SraW:
-        o << "{ uint64_t t = " << b << "; t = t < " << in.width
-          << "u ? t : " << (in.width - 1) << "u; " << d
-          << " = (uint64_t)(pw_sx(" << a << ", " << in.width << ") >> t)"
-          << maskAnd(in.width) << "; }\n";
-        break;
-      case EvalOp::EqW:
-        o << d << " = " << a << " == " << b << ";\n";
-        break;
-      case EvalOp::NeW:
-        o << d << " = " << a << " != " << b << ";\n";
-        break;
-      case EvalOp::UltW:
-        o << d << " = " << a << " < " << b << ";\n";
-        break;
-      case EvalOp::UleW:
-        o << d << " = " << a << " <= " << b << ";\n";
-        break;
-      case EvalOp::SltW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") < pw_sx("
-          << b << ", " << in.wa << ");\n";
-        break;
-      case EvalOp::SleW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") <= pw_sx("
-          << b << ", " << in.wa << ");\n";
-        break;
-      case EvalOp::MuxW:
-        o << d << " = (" << a << " & 1) ? " << b << " : " << c << ";\n";
-        break;
-      case EvalOp::ConcatW:
-        o << d << " = (" << a << " << " << in.wb << ") | " << b << ";\n";
-        break;
-      case EvalOp::SliceW: {
-        uint32_t ws = in.aux >> 6;
-        uint32_t bs = in.aux & 63;
-        std::string lo = SL(in.a + ws);
-        std::string v;
-        if (bs == 0)
-            v = lo;
-        else if (ws + 1 < na)
-            v = "(" + lo + " >> " + std::to_string(bs) + ") | (" +
-                SL(in.a + ws + 1) + " << " + std::to_string(64 - bs) + ")";
-        else
-            v = lo + " >> " + std::to_string(bs);
-        o << d << " = (" << v << ")" << maskAnd(in.width) << ";\n";
-        break;
-      }
-      case EvalOp::ZExtW:
-        o << d << " = " << a << ";\n";
-        break;
-      case EvalOp::SExtW:
-        o << d << " = (uint64_t)pw_sx(" << a << ", " << in.wa << ")"
-          << maskAnd(in.width) << ";\n";
-        break;
-      case EvalOp::AndNotW:
-        o << d << " = (" << a << " & ~" << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::OrNotW:
-        o << d << " = (" << a << " | ~" << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::XorNotW:
-        o << d << " = (" << a << " ^ ~" << b << ")" << maskAnd(in.width)
-          << ";\n";
-        break;
-      case EvalOp::EqMuxW:
-        o << d << " = " << a << " == " << b << " ? " << c << " : "
-          << SL(in.aux) << ";\n";
-        break;
-      case EvalOp::NeMuxW:
-        o << d << " = " << a << " != " << b << " ? " << c << " : "
-          << SL(in.aux) << ";\n";
-        break;
-      case EvalOp::UltMuxW:
-        o << d << " = " << a << " < " << b << " ? " << c << " : "
-          << SL(in.aux) << ";\n";
-        break;
-      case EvalOp::UleMuxW:
-        o << d << " = " << a << " <= " << b << " ? " << c << " : "
-          << SL(in.aux) << ";\n";
-        break;
-      case EvalOp::SltMuxW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") < pw_sx("
-          << b << ", " << in.wa << ") ? " << c << " : " << SL(in.aux)
-          << ";\n";
-        break;
-      case EvalOp::SleMuxW:
-        o << d << " = pw_sx(" << a << ", " << in.wa << ") <= pw_sx("
-          << b << ", " << in.wa << ") ? " << c << " : " << SL(in.aux)
-          << ";\n";
-        break;
-      default:
-        panic("cgen: op %s is not in the gang SIMD tier",
-              evalOpName(in.op));
-    }
-}
-
-/**
- * Gang variant of emitInstr for the ops NOT covered by
- * emitGangLaneStmt: one instruction -> one `for (lane = 0..R)` loop
- * over the lane-major layout. The multi-word generic tier gathers each
- * lane into a scalar staging buffer and reuses the pw_* helpers
- * verbatim; MemReadW stays a per-lane gather loop of its own.
+ * Gang variant of emitInstr for the ops outside gangSimdTier: one
+ * instruction -> one `for (lane = 0..R)` loop over the lane-major
+ * layout. The multi-word generic tier gathers each lane into a scalar
+ * staging buffer and reuses the pw_* helpers verbatim; MemReadW stays
+ * a per-lane gather loop of its own.
  */
 void
 emitInstrGang(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
-              uint32_t L)
+              const SlotHomes &h)
 {
-    auto SL = [L](uint32_t slot) {
-        return "s[" + std::to_string(uint64_t(slot) * L) + " + l]";
-    };
+    const uint32_t L = h.lanes();
     auto PL = [L](uint32_t slot) {
         return "s + " + std::to_string(uint64_t(slot) * L) + " + l";
     };
-    const std::string d = SL(in.dst);
-    const std::string a = SL(in.a);
-    const std::string b = SL(in.b);
-    const std::string c = SL(in.c);
     const uint32_t n = nw(in.width);
     const uint32_t na = nw(in.wa);
     const uint32_t nb = nw(in.wb);
     const std::string SS = std::to_string(L);
     const std::string loop =
         "    for (uint64_t l = 0; l < " + SS + "u; ++l) ";
+
+    if (in.op == EvalOp::MemReadW) {
+        // A per-lane gather from the image: no PG_SIMD (the address is
+        // data-dependent), but still one tight loop per instruction.
+        o << loop << h.def(in.dst) << wordExpr(in, prog, h) << ";\n";
+        return;
+    }
 
     // Generic-tier gather/compute/scatter scaffolding.
     auto gatherA = [&]() {
@@ -921,7 +895,7 @@ emitInstrGang(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
     // Scalar-result multi-word (reductions, compares): d = expr(ta, tb).
     auto scalarRes = [&](bool twoOps, const std::string &expr) {
         o << loop << "{ " << gatherA() << (twoOps ? gatherB() : "")
-          << d << " = " << expr << "; }\n";
+          << h.def(in.dst) << expr << "; }\n";
     };
     const std::string mask = hexConst(topMaskOf(in.width));
     const std::string nS = std::to_string(n);
@@ -999,7 +973,7 @@ emitInstrGang(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
                             ", " + naS + ") <= 0");
         break;
       case EvalOp::Mux:
-        o << loop << "pg_move(" << PL(in.dst) << ", ((" << a
+        o << loop << "pg_move(" << PL(in.dst) << ", ((" << h.val(in.a)
           << " & 1) ? " << PL(in.b) << " : " << PL(in.c) << "), " << nS
           << ", " << SS << ");\n";
         break;
@@ -1025,16 +999,6 @@ emitInstrGang(std::ostream &o, const EvalInstr &in, const EvalProgram &prog,
           << "], pg_sat(" << PL(in.a) << ", " << naS << ", " << SS
           << "), " << pm.depth << "ull, " << pm.entryWords << ", " << SS
           << ", l);\n";
-        break;
-      }
-
-      case EvalOp::MemReadW: {
-        // A per-lane gather from the image: no PG_SIMD (the address is
-        // data-dependent), but still one tight loop per instruction.
-        const ProgMem &pm = prog.mems[in.aux];
-        o << loop << "{ uint64_t t = " << a << "; " << d << " = t < "
-          << pm.depth << "ull ? m[" << in.aux << "][t * " << SS
-          << " + l] : 0; }\n";
         break;
       }
 
@@ -1410,35 +1374,34 @@ emitLatchAct(TuWriter &tu, size_t p, const EvalProgram &prog,
     tu.close();
 }
 
-/** Instructions [@p lo, @p hi) of @p prog as chunk-body statements.
- *  Gang (@p L > 1) batches runs of single-word-tier ops into one
- *  PG_SIMD lane loop each: within a lane iteration the run is
- *  straight-line code over constant-offset slots, so intermediates
- *  register-allocate across the run (and the lane loop vectorizes at
- *  unit stride). A run longer than kCgenLaneRunStmts is split so each
- *  loop stays within the vectorizer's dataref budget. */
+/** Instructions [@p lo, @p hi) of @p prog, one block of @p h, as
+ *  chunk-body statements. Gang (h.lanes() > 1) batches each run of
+ *  single-word-tier ops (laneRunEnd) into one PG_SIMD lane loop:
+ *  within a lane iteration the run is straight-line code whose
+ *  run-local values are C++ locals and whose other slots sit at
+ *  constant offsets, so the lane loop vectorizes at unit stride. A run
+ *  longer than kCgenLaneRunStmts is split so each loop stays within
+ *  the vectorizer's dataref budget. */
 static void
 emitRange(std::ostream &o, const EvalProgram &prog, size_t lo, size_t hi,
-          uint32_t L)
+          const SlotHomes &h)
 {
-    if (L == 1) {
+    if (h.lanes() == 1) {
         for (size_t i = lo; i < hi; ++i)
-            emitInstr(o, prog.instrs[i], prog);
+            emitInstr(o, prog.instrs[i], prog, h);
         return;
     }
-    size_t i = lo;
-    while (i < hi) {
-        if (!gangSimdTier(prog.instrs[i].op)) {
-            emitInstrGang(o, prog.instrs[i], prog, L);
-            ++i;
+    for (size_t i = lo; i < hi;) {
+        size_t end = laneRunEnd(prog, i, hi);
+        if (end == i) {
+            emitInstrGang(o, prog.instrs[i++], prog, h);
             continue;
         }
-        o << "    PG_SIMD for (uint64_t l = 0; l < " << L
+        o << "    PG_SIMD for (uint64_t l = 0; l < " << h.lanes()
           << "u; ++l) {\n";
-        for (size_t n = 0; n < kCgenLaneRunStmts && i < hi &&
-                           gangSimdTier(prog.instrs[i].op);
-             ++n, ++i)
-            emitGangLaneStmt(o, prog.instrs[i], L);
+        for (; i < end; ++i)
+            o << "        " << h.def(prog.instrs[i].dst)
+              << wordExpr(prog.instrs[i], prog, h) << ";\n";
         o << "    }\n";
     }
 }
@@ -1451,13 +1414,16 @@ emitEval(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
 {
     size_t numInstrs = prog.instrs.size();
     size_t numChunks = (numInstrs + kChunkInstrs - 1) / kChunkInstrs;
+    std::vector<InstrRange> chunks;
+    for (size_t lo = 0; lo < numInstrs; lo += kChunkInstrs)
+        chunks.emplace_back(lo, std::min(lo + kChunkInstrs, numInstrs));
+    const SlotHomes homes(prog, chunks, L);
     for (size_t ck = 0; ck < numChunks; ++ck) {
         std::ostream &o = tu.openChunk(
             "void pe" + std::to_string(p) + "_c" + std::to_string(ck) +
             "(uint64_t *s, uint64_t *const *m)");
         o << "    (void)s;\n    (void)m;\n";
-        size_t lo = ck * kChunkInstrs;
-        emitRange(o, prog, lo, std::min(lo + kChunkInstrs, numInstrs), L);
+        emitRange(o, prog, chunks[ck].first, chunks[ck].second, homes);
         o << "}\n";
         tu.close();
     }
@@ -1478,9 +1444,11 @@ emitEval(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
  * dirty-byte guard. A group that runs clears its own byte, marks every
  * successor (always a later group, so one forward pass suffices — same
  * invariant as EvalState::evalActive) and accounts
- * (1 << 32) | instrs into the packed return value. Chunked into
- * whole-group chunk functions of up to kCgenActChunkInstrs
- * instructions, or of one larger group.
+ * (1 << 32) | instrs into the packed return value. Each dirty test
+ * is an unlikely branch, so an idle cycle runs straight fall-through
+ * code past the skipped groups. Chunked into whole-group chunk
+ * functions of up to kCgenActChunkInstrs instructions, or of one
+ * larger group.
  */
 static void
 emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
@@ -1501,6 +1469,10 @@ emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
     }
     const size_t numChunks = firstGroup.size();
     firstGroup.push_back(ngroups);
+    std::vector<InstrRange> groups;
+    for (const ActivityGroup &ag : ap.groups)
+        groups.emplace_back(ag.beginInstr, ag.endInstr);
+    const SlotHomes homes(prog, groups, L);
     for (size_t ck = 0; ck < numChunks; ++ck) {
         std::ostream &o = tu.openChunk(
             "uint64_t pea" + std::to_string(p) + "_c" + std::to_string(ck) +
@@ -1508,9 +1480,9 @@ emitEvalAct(TuWriter &tu, size_t p, const EvalProgram &prog, uint32_t L)
         o << "    (void)s;\n    (void)m;\n    uint64_t r = 0;\n";
         for (size_t g = firstGroup[ck]; g < firstGroup[ck + 1]; ++g) {
             const ActivityGroup &ag = ap.groups[g];
-            o << "    if (d[" << g << "]) {\n"
+            o << "    if (__builtin_expect(d[" << g << "], 0)) {\n"
               << "    d[" << g << "] = 0;\n";
-            emitRange(o, prog, ag.beginInstr, ag.endInstr, L);
+            emitRange(o, prog, ag.beginInstr, ag.endInstr, homes);
             for (uint32_t k = ag.succBegin; k < ag.succEnd; ++k)
                 o << "    d[" << ap.succs[k] << "] = 1;\n";
             o << "    r += ((uint64_t)1 << 32) | "

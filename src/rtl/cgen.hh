@@ -2,7 +2,9 @@
  * @file
  * Native codegen backend (tier 4 of the evaluation pipeline): a
  * lowered rtl::EvalProgram is emitted as a self-contained C++
- * translation unit of straight-line uint64 slot operations — the W
+ * translation unit of straight-line uint64 operations — over the slot
+ * array for values the host, the sequential phases or a later block
+ * read, over C++ locals and literals for the rest — the W
  * and fused tiers become single expressions, the multi-word generic
  * tier becomes calls to inline word-loop helpers specialized by
  * constant widths — then compiled with the system C++ compiler into a

@@ -830,24 +830,44 @@ EvalState::readSlotInto(uint32_t slot, uint16_t width, BitVec &out,
 }
 
 void
-EvalState::writeSlot(uint32_t slot, const BitVec &v)
+EvalState::storeSlot(uint32_t slot, const BitVec &v, uint32_t lane)
 {
     uint64_t *p = &slots_[uint64_t(slot) * lanes_];
-    for (uint32_t i = 0; i < v.numWords(); ++i)
-        for (uint32_t l = 0; l < lanes_; ++l)
-            p[i * lanes_ + l] = v.word(i);
-    // Host writes land on arbitrary slots (pokes, state import); the
-    // conservative seed is a full re-eval.
+    for (uint32_t l = 0; l < lanes_; ++l)
+        if (lane >= lanes_ || l == lane)
+            for (uint32_t i = 0; i < v.numWords(); ++i)
+                p[i * lanes_ + l] = v.word(i);
+}
+
+void
+EvalState::writeSlot(uint32_t slot, const BitVec &v)
+{
+    storeSlot(slot, v, UINT32_MAX);
     markAllDirty();
 }
 
 void
 EvalState::writeSlotLane(uint32_t slot, const BitVec &v, uint32_t lane)
 {
-    uint64_t *p = &slots_[uint64_t(slot) * lanes_ + lane];
-    for (uint32_t i = 0; i < v.numWords(); ++i)
-        p[i * lanes_] = v.word(i);
+    storeSlot(slot, v, lane);
     markAllDirty();
+}
+
+void
+EvalState::pokeInput(uint32_t inputIndex, const BitVec &v, uint32_t lane)
+{
+    const uint32_t slot = prog_.inputs[inputIndex].slot;
+    const uint64_t *p = slotPtr(slot);
+    bool changed = false;
+    for (uint32_t l = 0; l < lanes_; ++l)
+        if (lane >= lanes_ || l == lane)
+            for (uint32_t i = 0; i < v.numWords(); ++i)
+                changed |= p[i * lanes_ + l] != v.word(i);
+    storeSlot(slot, v, lane);
+    if (!activity_ || !changed)
+        return;
+    for (uint32_t g : prog_.activity.inputReaders[inputIndex])
+        dirty_[g] = 1;
 }
 
 BitVec

@@ -331,6 +331,18 @@ struct EvalProgram
 };
 
 /**
+ * The pinned slot words of @p prog (indexed by slot word): every word
+ * of each register's cur and next value, of each memory write port's
+ * address, data and enable, and of each input and output port. These
+ * are the only slots anything outside the instruction stream reads or
+ * writes: the host (poke, peek, state export and import), the commit
+ * and latch phases, and the shard exchange. lowerProgram never fuses
+ * away their producers, and the cgen kernels keep them in the slot
+ * array (see EvalState::setNativeEval for the contract).
+ */
+std::vector<bool> pinnedSlots(const EvalProgram &prog);
+
+/**
  * Lower @p prog in place: width-class specialization into the W tier
  * and peephole fusion of adjacent pairs into superinstructions.
  *
@@ -338,8 +350,7 @@ struct EvalProgram
  * simply stop being written — so checkpoints, port/register/memory
  * bindings, and slotOf cross-references remain valid, and a lowered
  * program is bit-for-bit functionally equivalent to the generic one.
- * Slots that are externally observable (register current/next values,
- * write-port operands, ports) are never fused away. Idempotent.
+ * Pinned slots (pinnedSlots) are never fused away. Idempotent.
  */
 void lowerProgram(EvalProgram &prog,
                   const LowerOptions &opt = LowerOptions{},
@@ -468,6 +479,14 @@ class EvalState
      * @p code keeps the backing shared object alive for the lifetime
      * of this state. Bit-identical by construction: the kernels are
      * emitted from the same lowered program the interpreter executes.
+     *
+     * Observable-slot contract: after a native eval only the pinned
+     * slots (pinnedSlots) and the slots one emitted block hands to a
+     * later one hold defined values. The kernels keep every other
+     * temporary in a C++ local and never store it, and read constants
+     * as literals, so an unpinned slot may hold a stale value. Nothing
+     * outside the instruction stream may read one; the interpreter
+     * recomputes every slot it reads, so falling back stays exact.
      */
     void setNativeEval(NativeEvalFn fn, std::shared_ptr<void> code,
                        NativeEvalFn commit = nullptr,
@@ -480,10 +499,11 @@ class EvalState
      * Activity-guarded execution: evalComb() runs only the groups of
      * the program's ActivityPlan whose dirty bit is set, seeded by the
      * sequential phases (latch compares each register's new value
-     * against the old one; commit marks memory readers; pokes and
-     * restores mark everything). Skipped groups are provably
-     * unchanged — pure combinational logic over unchanged inputs — so
-     * the guarded path is bit-identical to always-eval.
+     * against the old one; commit marks memory readers; a poke that
+     * changes an input marks its readers; restores mark everything).
+     * Skipped groups are provably unchanged — pure combinational logic
+     * over unchanged inputs — so the guarded path is bit-identical to
+     * always-eval.
      *
      * Returns false (and stays disabled) if the program has no built
      * plan. Enabling marks every group dirty, so the first eval is a
@@ -552,11 +572,21 @@ class EvalState
                       uint32_t lane = 0) const;
 
     /** Write a BitVec into @p slot (value is normalized to @p width).
-     *  With lanes > 1 the value is broadcast to every lane. */
+     *  With lanes > 1 the value is broadcast to every lane. A host
+     *  write may land anywhere (state import), so it marks every
+     *  activity group dirty. */
     void writeSlot(uint32_t slot, const BitVec &v);
 
-    /** Write a BitVec into @p slot of a single lane. */
+    /** Write a BitVec into @p slot of a single lane (as writeSlot). */
     void writeSlotLane(uint32_t slot, const BitVec &v, uint32_t lane);
+
+    /** Poke input port @p inputIndex (index into EvalProgram::inputs):
+     *  every lane, or only @p lane when it is below lanes(). When the
+     *  value changed in some lane, marks just the groups reading that
+     *  input dirty (ActivityPlan::inputReaders); the groups downstream
+     *  of them are marked as they run. */
+    void pokeInput(uint32_t inputIndex, const BitVec &v,
+                   uint32_t lane = UINT32_MAX);
 
     /** Read one entry of a memory image (per-lane). */
     BitVec readMemEntry(uint32_t memIndex, uint64_t index, uint16_t width,
@@ -603,6 +633,10 @@ class EvalState
     void latchRegistersActive();
     /** Commit that marks memory-reader groups on applied writes. */
     void commitWritesActive();
+
+    /** Store @p v into @p slot of @p lane, or of every lane when
+     *  @p lane is not below lanes(); marks nothing dirty. */
+    void storeSlot(uint32_t slot, const BitVec &v, uint32_t lane);
 
     /** Re-derive memPtrs_ after mems_ may have reallocated. */
     void refreshMemPtrs();

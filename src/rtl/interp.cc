@@ -21,13 +21,10 @@ ProgramEngine::ProgramEngine(Netlist netlist, const LowerOptions &lower,
 void
 ProgramEngine::pokeInput(PortId port, const BitVec &value, uint32_t lane)
 {
-    for (const ProgPort &p : prog.inputs) {
-        if (p.port != port)
+    for (uint32_t i = 0; i < prog.inputs.size(); ++i) {
+        if (prog.inputs[i].port != port)
             continue;
-        if (lane == core::kAllLanes)
-            state->writeSlot(p.slot, value);
-        else
-            state->writeSlotLane(p.slot, value, lane);
+        state->pokeInput(i, value, lane);
         break;
     }
     // Re-evaluate so pokes are visible combinationally.

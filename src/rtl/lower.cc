@@ -134,37 +134,47 @@ specializedFor(const EvalProgram &prog, const EvalInstr &in)
 
 } // namespace
 
+std::vector<bool>
+pinnedSlots(const EvalProgram &prog)
+{
+    std::vector<bool> pinned(prog.numSlots(), false);
+    auto pin = [&](uint32_t slot, uint32_t words) {
+        for (uint32_t w = 0; w < words; ++w)
+            pinned[slot + w] = true;
+    };
+    for (const ProgReg &r : prog.regs) {
+        pin(r.cur, wordsFor(r.width));
+        if (r.next != kNoSlot)
+            pin(r.next, wordsFor(r.width));
+    }
+    for (const ProgWrite &w : prog.writes) {
+        pin(w.addr, wordsFor(w.addrWidth));
+        pin(w.data, prog.mems[w.memIndex].entryWords);
+        pin(w.en, 1);
+    }
+    for (const ProgPort &p : prog.inputs)
+        pin(p.slot, wordsFor(p.width));
+    for (const ProgPort &p : prog.outputs)
+        pin(p.slot, wordsFor(p.width));
+    return pinned;
+}
+
 void
 lowerProgram(EvalProgram &prog, const LowerOptions &opt,
              LowerStats *stats_out)
 {
     LowerStats stats;
-    uint32_t num_slots = prog.numSlots();
 
     // Per-slot consumer counts and the externally observable slots
     // that fusion must never eliminate the producer of.
-    std::vector<uint32_t> uses(num_slots, 0);
-    std::vector<bool> pinned(num_slots, false);
+    std::vector<uint32_t> uses(prog.numSlots(), 0);
+    const std::vector<bool> pinned = pinnedSlots(prog);
     for (const EvalInstr &in : prog.instrs) {
         uint32_t ops[4];
         int n = evalInstrOperands(in, ops);
         for (int i = 0; i < n; ++i)
             ++uses[ops[i]];
     }
-    for (const ProgReg &r : prog.regs) {
-        pinned[r.cur] = true;
-        if (r.next != kNoSlot)
-            pinned[r.next] = true;
-    }
-    for (const ProgWrite &w : prog.writes) {
-        pinned[w.addr] = true;
-        pinned[w.data] = true;
-        pinned[w.en] = true;
-    }
-    for (const ProgPort &p : prog.inputs)
-        pinned[p.slot] = true;
-    for (const ProgPort &p : prog.outputs)
-        pinned[p.slot] = true;
 
     std::vector<EvalInstr> &instrs = prog.instrs;
     std::vector<bool> dead(instrs.size(), false);
@@ -324,19 +334,17 @@ buildActivityPlan(EvalProgram &prog)
     const uint32_t n = static_cast<uint32_t>(instrs.size());
 
     // Sources: register r is id r, input port j is R + j, memory k is
-    // R + I + k.
+    // R + I + k. Slot-indexed tables use kNone for "not one".
+    constexpr uint32_t kNone = UINT32_MAX;
     const uint32_t R = static_cast<uint32_t>(prog.regs.size());
     const uint32_t I = static_cast<uint32_t>(prog.inputs.size());
-    std::unordered_map<uint32_t, uint32_t> sourceOfSlot;
-    sourceOfSlot.reserve(R + I);
-    for (uint32_t r = 0; r < R; ++r)
-        sourceOfSlot.emplace(prog.regs[r].cur, r);
-    for (uint32_t j = 0; j < I; ++j)
-        sourceOfSlot.emplace(prog.inputs[j].slot, R + j);
-    // Instruction producing each slot. Each slot is written by at most
-    // one instruction, so a plain map suffices.
-    std::unordered_map<uint32_t, uint32_t> producer;
-    producer.reserve(n);
+    std::vector<uint32_t> sourceOfSlot(prog.numSlots(), kNone);
+    for (uint32_t j = I; j-- > 0;)
+        sourceOfSlot[prog.inputs[j].slot] = R + j;
+    for (uint32_t r = R; r-- > 0;)
+        sourceOfSlot[prog.regs[r].cur] = r;
+    // Instruction producing each slot (each slot has at most one).
+    std::vector<uint32_t> producer(prog.numSlots(), kNone);
     for (uint32_t i = 0; i < n; ++i)
         producer[instrs[i].dst] = i;
 
@@ -359,19 +367,17 @@ buildActivityPlan(EvalProgram &prog)
         bool broad = false;
         merged.clear();
         for (int k = 0; k < arity; ++k) {
-            auto p = producer.find(ops[k]);
-            if (p != producer.end()) {
-                if (p->second >= i)
+            if (uint32_t p = producer[ops[k]]; p != kNone) {
+                if (p >= i)
                     return;
-                uint32_t c = cls[p->second];
+                uint32_t c = cls[p];
                 if (c == kBroad)
                     broad = true;
                 else
                     merged.insert(merged.end(), sets[c].begin(),
                                   sets[c].end());
-            } else if (auto s = sourceOfSlot.find(ops[k]);
-                       s != sourceOfSlot.end()) {
-                merged.push_back(s->second);
+            } else if (sourceOfSlot[ops[k]] != kNone) {
+                merged.push_back(sourceOfSlot[ops[k]]);
             }
         }
         if (evalReadsMemory(in.op))
@@ -422,18 +428,23 @@ buildActivityPlan(EvalProgram &prog)
     instrs = std::move(sorted);
     const uint32_t ngroups = ap.numGroups();
 
-    std::unordered_map<uint32_t, uint32_t> groupOfSlot;
-    groupOfSlot.reserve(n);
+    std::vector<uint32_t> groupOfSlot(prog.numSlots(), kNone);
     for (uint32_t g = 0; g < ngroups; ++g)
         for (uint32_t i = ap.groups[g].beginInstr;
              i < ap.groups[g].endInstr; ++i)
             groupOfSlot[instrs[i].dst] = g;
 
-    // Reader groups per slot, successor edges between groups (always
-    // forward, by the rank order), and memory readers.
-    std::unordered_map<uint32_t, std::vector<uint32_t>> readersOfSlot;
+    // Successor edges between groups (always forward, by the rank
+    // order), and the seed maps: which groups read each register's cur
+    // slot, each input port slot and each memory. Reads are visited in
+    // group order, so each list is deduplicated by its last entry.
     std::vector<std::vector<uint32_t>> succsOf(ngroups);
-    ap.memReaders.assign(prog.mems.size(), {});
+    std::vector<std::vector<uint32_t>> sourceReaders(
+        R + I + prog.mems.size());
+    auto addReader = [](std::vector<uint32_t> &list, uint32_t g) {
+        if (list.empty() || list.back() != g)
+            list.push_back(g);
+    };
     for (uint32_t g = 0; g < ngroups; ++g) {
         for (uint32_t i = ap.groups[g].beginInstr;
              i < ap.groups[g].endInstr; ++i) {
@@ -441,21 +452,14 @@ buildActivityPlan(EvalProgram &prog)
             uint32_t ops[4];
             int arity = evalInstrOperands(in, ops);
             for (int k = 0; k < arity; ++k) {
-                std::vector<uint32_t> &rd = readersOfSlot[ops[k]];
-                if (rd.empty() || rd.back() != g)
-                    rd.push_back(g);
-                auto it = groupOfSlot.find(ops[k]);
-                if (it == groupOfSlot.end() || it->second == g)
-                    continue;
-                std::vector<uint32_t> &sc = succsOf[it->second];
-                if (sc.empty() || sc.back() != g)
-                    sc.push_back(g);
+                if (sourceOfSlot[ops[k]] != kNone)
+                    addReader(sourceReaders[sourceOfSlot[ops[k]]], g);
+                uint32_t from = groupOfSlot[ops[k]];
+                if (from != kNone && from != g)
+                    addReader(succsOf[from], g);
             }
-            if (evalReadsMemory(in.op)) {
-                std::vector<uint32_t> &mr = ap.memReaders[in.aux];
-                if (mr.empty() || mr.back() != g)
-                    mr.push_back(g);
-            }
+            if (evalReadsMemory(in.op))
+                addReader(sourceReaders[R + I + in.aux], g);
         }
     }
     for (uint32_t g = 0; g < ngroups; ++g) {
@@ -465,22 +469,10 @@ buildActivityPlan(EvalProgram &prog)
         ap.groups[g].succEnd = static_cast<uint32_t>(ap.succs.size());
     }
 
-    // Seed maps: which groups consume each register's cur slot and
-    // each input port slot. A slot read by instructions in several
-    // groups appears once per group (readersOfSlot is deduplicated by
-    // construction: reads are visited in group order).
-    ap.regReaders.assign(prog.regs.size(), {});
-    for (size_t ri = 0; ri < prog.regs.size(); ++ri) {
-        auto it = readersOfSlot.find(prog.regs[ri].cur);
-        if (it != readersOfSlot.end())
-            ap.regReaders[ri] = it->second;
-    }
-    ap.inputReaders.assign(prog.inputs.size(), {});
-    for (size_t pi = 0; pi < prog.inputs.size(); ++pi) {
-        auto it = readersOfSlot.find(prog.inputs[pi].slot);
-        if (it != readersOfSlot.end())
-            ap.inputReaders[pi] = it->second;
-    }
+    auto from = sourceReaders.begin();
+    ap.regReaders.assign(from, from + R);
+    ap.inputReaders.assign(from + R, from + R + I);
+    ap.memReaders.assign(from + R + I, sourceReaders.end());
 
     ap.built = true;
     prog.activity = std::move(ap);

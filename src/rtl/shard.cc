@@ -203,10 +203,10 @@ ShardSet::buildExchange()
     pub_[1].assign(off, 0);
 
     // Port bindings.
-    inputSlots_.assign(nl.numInputs(), {});
+    inputPorts_.assign(nl.numInputs(), {});
     for (uint32_t si = 0; si < nshards; ++si)
-        for (const ProgPort &p : programs_[si].inputs)
-            inputSlots_[p.port].emplace_back(si, p.slot);
+        for (uint32_t i = 0; i < programs_[si].inputs.size(); ++i)
+            inputPorts_[programs_[si].inputs[i].port].emplace_back(si, i);
     outputSlots_.assign(nl.numOutputs(), {UINT32_MAX, 0});
     for (uint32_t si = 0; si < nshards; ++si)
         for (const ProgPort &p : programs_[si].outputs)
@@ -645,11 +645,8 @@ ShardSet::reset()
 void
 ShardSet::pokeInput(PortId port, const BitVec &value, uint32_t lane)
 {
-    for (auto [shard, slot] : inputSlots_[port]) {
-        if (lane == core::kAllLanes)
-            states_[shard]->writeSlot(slot, value);
-        else
-            states_[shard]->writeSlotLane(slot, value, lane);
+    for (auto [shard, input] : inputPorts_[port]) {
+        states_[shard]->pokeInput(input, value, lane);
         states_[shard]->evalComb();
     }
     pubValid_ = false;
@@ -751,10 +748,10 @@ ShardSet::exportArch(core::ArchState &st) const
         auto &perLane = st.inputs[p];
         perLane.resize(lanes_);
         for (uint32_t l = 0; l < lanes_; ++l)
-            perLane[l] = inputSlots_[p].empty()
+            perLane[l] = inputPorts_[p].empty()
                 ? BitVec(nl_->input(p).width)
-                : states_[inputSlots_[p][0].first]->readSlot(
-                      inputSlots_[p][0].second, nl_->input(p).width,
+                : states_[inputPorts_[p][0].first]->readSlot(
+                      inputSlot(inputPorts_[p][0]), nl_->input(p).width,
                       l);
     }
 }
@@ -811,12 +808,13 @@ ShardSet::importArch(const core::ArchState &st)
         if (perLane.size() != lanes_)
             fatal("importArch: input %s lane count mismatch",
                   nl_->input(p).name.c_str());
-        for (auto [shard, slot] : inputSlots_[p]) {
+        for (const auto &home : inputPorts_[p]) {
             for (uint32_t l = 0; l < lanes_; ++l) {
                 if (perLane[l].width() != nl_->input(p).width)
                     fatal("importArch: input %s width mismatch",
                           nl_->input(p).name.c_str());
-                states_[shard]->writeSlotLane(slot, perLane[l], l);
+                states_[home.first]->writeSlotLane(inputSlot(home),
+                                                   perLane[l], l);
             }
         }
     }

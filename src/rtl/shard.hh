@@ -316,8 +316,15 @@ class ShardSet
     /// the pool's worker count)
     std::unique_ptr<util::SpinBarrier> inner_;
 
-    /// input port -> [(shard, slot)] replicas
-    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> inputSlots_;
+    /// input port -> [(shard, index into its EvalProgram::inputs)]
+    /// replicas
+    std::vector<std::vector<std::pair<uint32_t, uint32_t>>> inputPorts_;
+    /// slot of one inputPorts_ replica in its shard's program
+    uint32_t
+    inputSlot(const std::pair<uint32_t, uint32_t> &home) const
+    {
+        return programs_[home.first].inputs[home.second].slot;
+    }
     /// output port -> (shard, slot)
     std::vector<std::pair<uint32_t, uint32_t>> outputSlots_;
     /// register -> (shard, cur slot) of its owner

@@ -205,6 +205,45 @@ sourceSets(const rtl::EvalProgram &prog)
     return sets;
 }
 
+/**
+ * makeGated's bank of @p units pipelines enabled every @p period
+ * cycles, driven through three 32-bit input ports: unit i's pipeline
+ * starts from its state xor input `k<i % 3>`, so poking one input
+ * dirties the cones of a third of the units and nothing else.
+ */
+Netlist
+pokedGated(uint32_t units, uint32_t period)
+{
+    using namespace rtl;
+    Design d("poked_gated" + std::to_string(units));
+    RegId ctr = d.reg("ctr", 8, 0);
+    Wire c = d.read(ctr);
+    Wire wrap = c == d.lit(8, period - 1);
+    d.next(ctr, d.mux(wrap, d.lit(8, 0), c + d.lit(8, 1)));
+    RegId enReg = d.reg("en", 1, 0);
+    d.next(enReg, wrap);
+    Wire en = d.read(enReg);
+    std::vector<Wire> kicks;
+    for (int k = 0; k < 3; ++k)
+        kicks.push_back(d.input("k" + std::to_string(k), 32));
+    Wire digest;
+    for (uint32_t i = 0; i < units; ++i) {
+        RegId s = d.reg("u" + std::to_string(i), 32,
+                        0x2545f491u ^ (i * 0x9e3779b9u + 1));
+        Wire cur = d.read(s);
+        Wire x = cur ^ kicks[i % 3];
+        for (uint32_t r = 0; r < 4; ++r) {
+            x = x ^ x.shl(13);
+            x = x ^ x.shr(17);
+            x = x * d.lit(32, 0x2545f491u + 2 * r);
+        }
+        d.next(s, d.mux(en, x, cur));
+        digest = i ? digest ^ cur : cur;
+    }
+    d.output("digest", digest);
+    return d.finish();
+}
+
 /** The class an instruction's source set falls into: the set itself,
  *  or the empty "broad" marker past the cap (a real set is never
  *  confused with it: an empty set is within the cap). */
@@ -629,6 +668,140 @@ TEST(ActivityPlan, SourceClassGroupsKeepTheStreamTopological)
                                << " and " << g << " share a class";
         }
         EXPECT_EQ(next, prog.instrs.size()) << name;
+    }
+}
+
+TEST(ActivityPlan, PokeRunsOnlyItsInputsReaders)
+{
+    // A poke seeds only the poked input's reader groups, and only when
+    // it changes the input: the cycle after it executes exactly the
+    // instructions whose source set meets the register changes of the
+    // cycle before or the changed input, and exactly the groups
+    // holding them.
+    for (auto [units, period] :
+         {std::pair{16u, 16u}, std::pair{5u, 3u}}) {
+        std::string name = "poked gated(" + std::to_string(units) + "," +
+                           std::to_string(period) + ")";
+        rtl::EvalProgram prog = plannedProgram(pokedGated(units, period));
+        const rtl::ActivityPlan &ap = prog.activity;
+        ASSERT_TRUE(ap.built) << name;
+        ASSERT_EQ(prog.inputs.size(), 3u) << name;
+        const uint32_t R = prog.regs.size();
+        const auto sets = sourceSets(prog);
+        for (const auto &set : sets)
+            ASSERT_LE(set.size(), rtl::kActivitySourceCap) << name;
+
+        rtl::EvalState guarded(prog);
+        ASSERT_TRUE(guarded.enableActivity(true));
+        rtl::EvalState plain(prog);
+        auto regValues = [&]() {
+            std::vector<BitVec> v;
+            for (const rtl::ProgReg &r : prog.regs)
+                v.push_back(plain.readSlot(r.cur, r.width));
+            return v;
+        };
+        std::vector<bool> changed(prog.regs.size(), true);
+        Rng rng(units * 131 + period);
+        for (int cycle = 0; cycle < 64; ++cycle) {
+            // Poke one input on most cycles, sometimes with the value
+            // it already holds, which must mark nothing.
+            std::vector<bool> poked(prog.inputs.size(), false);
+            if (cycle > 0 && rng.below(4) != 0) {
+                uint32_t j = rng.below(3);
+                BitVec v(32, rng.below(2) ? rng.next() : 0);
+                poked[j] = plain.readSlot(prog.inputs[j].slot, 32) != v;
+                guarded.pokeInput(j, v);
+                plain.pokeInput(j, v);
+            }
+            auto meets = [&](const std::vector<uint32_t> &set) {
+                return cycle == 0 ||
+                    std::any_of(set.begin(), set.end(), [&](uint32_t s) {
+                        return s < R ? bool(changed[s])
+                                     : s - R < poked.size() && poked[s - R];
+                    });
+            };
+            uint64_t instrs = 0;
+            uint32_t groups = 0;
+            for (const auto &set : sets)
+                instrs += meets(set);
+            for (const rtl::ActivityGroup &g : ap.groups)
+                groups += meets(sets[g.beginInstr]);
+            std::vector<BitVec> before = regValues();
+            plain.step();
+            guarded.step();
+            ASSERT_EQ(guarded.lastEvalInstrs(), instrs)
+                << name << " cycle " << cycle;
+            ASSERT_EQ(guarded.lastGroupsRun(), groups)
+                << name << " cycle " << cycle;
+            std::vector<BitVec> after = regValues();
+            for (size_t r = 0; r < prog.regs.size(); ++r)
+                changed[r] = before[r] != after[r];
+            for (const rtl::ProgReg &r : prog.regs)
+                ASSERT_EQ(guarded.readSlot(r.cur, r.width),
+                          plain.readSlot(r.cur, r.width))
+                    << name << " cycle " << cycle;
+        }
+    }
+}
+
+TEST(Activity, PokeDrivenGuardedRunsMatchInterpreter)
+{
+    // Pokes seed only their readers in every guarded engine: scalar
+    // and gang cgen, interpreted and par with native shards, against
+    // the generic interpreter.
+    for (auto [units, period] :
+         {std::pair{16u, 16u}, std::pair{5u, 3u}}) {
+        Netlist nl = pokedGated(units, period);
+        std::string name = "poked gated(" + std::to_string(units) + "," +
+                           std::to_string(period) + ")";
+        auto drive = [&](core::SimEngine &act, uint32_t lanes,
+                         const std::string &what) {
+            Interpreter ref(nl, rtl::LowerOptions::none(), lanes);
+            ASSERT_TRUE(act.setActivity(true)) << what;
+            Rng rng(units * 7 + period);
+            for (int c = 0; c < 2048; c += 64) {
+                for (int p = 0; p < 4; ++p) {
+                    std::string port = "k" + std::to_string(rng.below(3));
+                    BitVec v(32, rng.next());
+                    uint32_t lane = rng.below(lanes + 1);
+                    if (lane == lanes) {
+                        act.poke(port, v);
+                        ref.poke(port, v);
+                    } else {
+                        act.pokeLane(port, v, lane);
+                        ref.pokeLane(port, v, lane);
+                    }
+                    size_t n = 1 + rng.below(16);
+                    act.step(n);
+                    ref.step(n);
+                }
+                ASSERT_EQ(ckpt::archStateFnv(act), ckpt::archStateFnv(ref))
+                    << what << " at cycle " << act.cycles();
+            }
+        };
+        {
+            Interpreter act(nl);
+            drive(act, 1, name + " interp");
+        }
+        {
+            CgenInterpreter act(nl);
+            ASSERT_TRUE(act.native());
+            drive(act, 1, name + " cgen");
+        }
+        {
+            rtl::CgenOptions gopt;
+            gopt.lanes = 8;
+            CgenInterpreter act(nl, rtl::LowerOptions{}, gopt);
+            ASSERT_TRUE(act.native());
+            drive(act, 8, name + " cgen R=8");
+        }
+        {
+            rtl::ParConfig pcfg;
+            pcfg.maxWorkers = 2;
+            ParallelInterpreter act(nl, 2, rtl::LowerOptions{}, pcfg);
+            ASSERT_EQ(act.enableNativeKernels(), act.numShards());
+            drive(act, 1, name + " par-cgen@2");
+        }
     }
 }
 

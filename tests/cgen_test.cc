@@ -15,10 +15,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cctype>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
 #include <functional>
+#include <map>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <thread>
@@ -565,7 +568,7 @@ namespace {
 std::vector<std::vector<uint32_t>>
 guardedChunks(const rtl::CgenSource &src)
 {
-    const std::string guard = "    if (d[";
+    const std::string guard = "    if (__builtin_expect(d[";
     std::vector<std::vector<uint32_t>> chunks;
     for (const rtl::CgenFunction &f : src.functions) {
         std::string body = src.text.substr(f.begin, f.end - f.begin);
@@ -756,4 +759,218 @@ TEST(Cgen, GangLaneRunsStayVectorizable)
             << "sr2 R=8: lane loop at line " << l.open << " ("
             << l.stmts << " statements) was not vectorized";
     }
+}
+
+namespace {
+
+/** A slot reference in emitted code: its slot (the emitted offset over
+ *  the lane count), and whether it is an `s[..] =` store or a `s + ..`
+ *  pointer a generic-tier helper reads through. */
+struct SlotRef
+{
+    uint32_t slot;
+    bool store;
+    bool pointer;
+};
+
+/** Every `s[N]`, `s[N + l]` and `s + N` reference in @p code. */
+std::vector<SlotRef>
+slotRefs(const std::string &code, uint32_t lanes)
+{
+    auto ident = [](char ch) {
+        return std::isalnum(static_cast<unsigned char>(ch)) || ch == '_';
+    };
+    std::vector<SlotRef> refs;
+    for (size_t at = code.find('s'); at != std::string::npos;
+         at = code.find('s', at + 1)) {
+        if ((at > 0 && ident(code[at - 1])) || at + 2 >= code.size())
+            continue;
+        bool subscript = code[at + 1] == '[';
+        if (!subscript && code.compare(at + 1, 3, " + ") != 0)
+            continue;
+        size_t num = at + (subscript ? 2 : 4);
+        if (!std::isdigit(static_cast<unsigned char>(code[num])))
+            continue;
+        size_t end = num;
+        uint64_t off = std::stoull(code.substr(num), &end);
+        size_t after = code.find(']', num);
+        bool store = subscript && after != std::string::npos &&
+            code.compare(after, 4, "] = ") == 0;
+        refs.push_back({static_cast<uint32_t>(off / lanes), store,
+                        !subscript});
+    }
+    return refs;
+}
+
+/** Split @p src into the blocks of its instruction stream: the chunk
+ *  functions (straight-line scalar), the activity groups (guarded
+ *  scalar), or the lane loops and one-op loops (gang). Text outside
+ *  every block — entries, commit, latch — comes back as one more. */
+std::vector<std::string>
+streamBlocks(const rtl::CgenSource &src, uint32_t lanes)
+{
+    std::vector<std::string> blocks(1);
+    for (const rtl::CgenFunction &f : src.functions) {
+        std::string body = src.text.substr(f.begin, f.end - f.begin);
+        if (!f.chunk) {
+            blocks[0] += body;
+            continue;
+        }
+        const std::string guard = "    if (__builtin_expect(d[";
+        std::istringstream in(body);
+        bool guarded = body.find(guard) != std::string::npos;
+        bool inLoop = false;
+        if (lanes == 1 && !guarded)
+            blocks.emplace_back();
+        for (std::string line; std::getline(in, line);) {
+            if (lanes > 1) {
+                if (line.find("PG_SIMD for (") != std::string::npos) {
+                    blocks.emplace_back();
+                    inLoop = true;
+                } else if (inLoop && line == "    }") {
+                    inLoop = false;
+                } else if (!inLoop) {
+                    blocks.emplace_back();
+                }
+            } else if (guarded && line.rfind(guard, 0) == 0) {
+                blocks.emplace_back();
+            }
+            blocks.back() += line + "\n";
+        }
+    }
+    return blocks;
+}
+
+/** Every `s[N] =` store of @p prog's kernel is to a pinned slot, to a
+ *  slot some other block references, or to one a generic-tier helper
+ *  reads through a pointer. */
+void
+expectStoresAreNeeded(const rtl::EvalProgram &prog, uint32_t lanes,
+                      const std::string &what)
+{
+    const std::vector<bool> pinned = rtl::pinnedSlots(prog);
+    const std::vector<std::string> blocks =
+        streamBlocks(rtl::cgenEmit({&prog}, lanes), lanes);
+    std::vector<std::vector<SlotRef>> refs;
+    std::map<uint32_t, std::set<size_t>> blocksOf;
+    std::set<uint32_t> pointerRead;
+    for (size_t b = 0; b < blocks.size(); ++b) {
+        refs.push_back(slotRefs(blocks[b], lanes));
+        for (const SlotRef &r : refs.back()) {
+            blocksOf[r.slot].insert(b);
+            if (r.pointer)
+                pointerRead.insert(r.slot);
+        }
+    }
+    for (size_t b = 1; b < blocks.size(); ++b) {
+        for (const SlotRef &r : refs[b]) {
+            if (!r.store || pinned[r.slot] || pointerRead.count(r.slot))
+                continue;
+            EXPECT_GT(blocksOf[r.slot].size(), 1u)
+                << what << ": slot " << r.slot
+                << " is stored but read only in its own block";
+        }
+    }
+    EXPECT_GT(blocks.size(), 2u) << what;
+}
+
+} // namespace
+
+TEST(Cgen, RegisterResidentTemporaries)
+{
+    // Block-local temporaries live in C++ locals and never-written
+    // slots are literals; the kernels must still match the generic
+    // interpreter in every stream, and the only stores left are the
+    // pinned slots and the values a later block reads.
+    designs::GatedConfig gated16;
+    gated16.units = 16;
+    std::vector<std::pair<std::string, Netlist>> cases;
+    cases.push_back({"sr2", designs::makeSr(2)});
+    cases.push_back({"bitcoin", designs::makeBitcoin({2, 16})});
+    cases.push_back(
+        {"pico", designs::makePico(designs::defaultCoreConfig())});
+    cases.push_back({"gated16", designs::makeGated(gated16)});
+    parendi::testing::RandomNetlistConfig wide;
+    wide.maxWidth = 192;
+    wide.memories = 4;
+    wide.registers = 16;
+    wide.combNodes = 160;
+    for (uint64_t seed = 1; seed <= 8; ++seed)
+        cases.push_back({"random seed " + std::to_string(seed),
+                         randomNetlist(seed ^ 0x7e51dull, wide)});
+
+    rtl::LowerOptions noPlan;
+    noPlan.activityPlan = false;
+    for (const auto &[name, nl] : cases) {
+        SCOPED_TRACE(name);
+        Interpreter plain(nl, noPlan);
+        Interpreter planned(nl);
+        ASSERT_TRUE(planned.program().activity.built);
+        expectStoresAreNeeded(plain.program(), 1, name + " straight-line");
+        expectStoresAreNeeded(planned.program(), 1, name + " guarded");
+        expectStoresAreNeeded(plain.program(), 8, name + " gang R=8");
+        expectStoresAreNeeded(planned.program(), 8,
+                              name + " guarded gang R=8");
+
+        {
+            CgenInterpreter cg(nl, noPlan);
+            ASSERT_TRUE(cg.native());
+            Interpreter ref(nl, rtl::LowerOptions::none());
+            lockStep(cg, ref, "scalar straight-line");
+        }
+        {
+            CgenOptions gopt;
+            gopt.lanes = 8;
+            CgenInterpreter gang(nl, noPlan, gopt);
+            ASSERT_TRUE(gang.native());
+            Interpreter ref(nl, rtl::LowerOptions::none(), 8);
+            lockStep(gang, ref, "gang R=8");
+        }
+        {
+            CgenInterpreter cg(nl);
+            ASSERT_TRUE(cg.native());
+            ASSERT_TRUE(cg.setActivity(true));
+            Interpreter ref(nl, rtl::LowerOptions::none());
+            lockStep(cg, ref, "scalar guarded");
+        }
+        {
+            rtl::ParConfig pcfg;
+            pcfg.maxWorkers = 2;
+            rtl::ParallelInterpreter par(nl, 2, noPlan, pcfg);
+            ASSERT_EQ(par.enableNativeKernels(), par.numShards());
+            Interpreter ref(nl, rtl::LowerOptions::none());
+            lockStep(par, ref, "par-cgen@2");
+        }
+    }
+}
+
+TEST(Cgen, ConcurrentEmissionIsDeterministic)
+{
+    // Emission keeps no state between calls: four threads emitting at
+    // once produce the bytes a serial emission does.
+    designs::GatedConfig gated16;
+    gated16.units = 16;
+    std::vector<std::unique_ptr<Interpreter>> engines;
+    engines.push_back(std::make_unique<Interpreter>(designs::makeSr(2)));
+    engines.push_back(
+        std::make_unique<Interpreter>(designs::makeGated(gated16)));
+    engines.push_back(std::make_unique<Interpreter>(
+        designs::makePico(designs::defaultCoreConfig())));
+    engines.push_back(std::make_unique<Interpreter>(randomNetlist(5)));
+    auto emitAll = [&]() {
+        std::vector<std::string> out;
+        for (const auto &e : engines)
+            for (uint32_t lanes : {1u, 8u})
+                out.push_back(rtl::cgenEmitSource({&e->program()}, lanes));
+        return out;
+    };
+    const std::vector<std::string> serial = emitAll();
+    std::vector<std::vector<std::string>> results(4);
+    std::vector<std::thread> threads;
+    for (auto &r : results)
+        threads.emplace_back([&r, &emitAll]() { r = emitAll(); });
+    for (std::thread &t : threads)
+        t.join();
+    for (const auto &r : results)
+        EXPECT_EQ(r, serial);
 }
