@@ -143,51 +143,23 @@ gmean(const std::vector<double> &v)
 
 // -- Machine-readable results (--json FILE) ------------------------------
 
-/** One measured host-throughput data point. */
+/** One measured throughput data point (bench/serve_throughput). */
 struct PerfRecord
 {
     std::string design;
-    std::string engine;     ///< "interp", "ipu", "par", "par-cgen", ...
+    std::string engine;     ///< "serve-c1", "serve-c8", ...
     uint32_t threads = 0;
     double cyclesPerSec = 0;
-
-    /** Measured r_cycle decomposition (obs::SuperstepProfiler), as
-     *  shares of the sampled cycle wall time; present only for
-     *  engines with runtime instrumentation. The JSON fields are
-     *  optional, so older BENCH_*.json readers keep working. */
-    bool hasSplit = false;
-    double tCompFrac = 0;
-    double tCommFrac = 0;
-    double tSyncFrac = 0;
-
-    /** Gang rows (--replicas-sweep): replica lanes stepped per cycle.
-     *  cyclesPerSec is per lane; the JSON additionally carries the
-     *  aggregate replicas * cyclesPerSec as agg_lane_cycles_per_sec.
-     *  Both fields are emitted only when replicas > 1, so older
-     *  readers keep working. */
+    /** Replica lanes per session; cyclesPerSec is per lane. Rows with
+     *  replicas > 1 also carry the aggregate
+     *  agg_lane_cycles_per_sec = replicas * cyclesPerSec. */
     uint32_t replicas = 1;
-
-    /** Activity A/B rows (--activity-sweep): 1 = activity-guarded
-     *  evaluation, 0 = always-eval baseline. -1 (the default) marks
-     *  rows outside the sweep; the JSON field is emitted only when
-     *  >= 0, so older readers keep working. */
-    int activity = -1;
-
-    /** Checkpoint columns (attached to the interp row of each
-     *  design): v2 compressed snapshot bytes vs the raw engine blob
-     *  (SimEngine::saveState), plus save/restore wall latency.
-     *  Emitted only when snapshotBytes > 0, so older readers keep
-     *  working. */
-    uint64_t snapshotBytes = 0;
-    uint64_t rawBlobBytes = 0;
-    double saveMs = 0;
-    double restoreMs = 0;
 };
 
 /**
- * Pull `--json FILE` out of argv (so the remaining arguments can go
- * to google-benchmark untouched); returns the FILE, or "" if the
- * flag is absent.
+ * Pull `--json FILE` out of argv (so the remaining arguments parse
+ * as the bench's own flags); returns the FILE, or "" if the flag is
+ * absent.
  */
 inline std::string
 extractJsonFlag(int &argc, char **argv)
@@ -211,33 +183,7 @@ extractJsonFlag(int &argc, char **argv)
 }
 
 /**
- * Pull a `--name N` (or `--name=N`) integer flag out of argv the same
- * way extractJsonFlag does; returns @p dflt when absent.
- */
-inline long
-extractIntFlag(int &argc, char **argv, const std::string &name,
-               long dflt)
-{
-    long v = dflt;
-    int out = 1;
-    for (int i = 1; i < argc; ++i) {
-        std::string arg = argv[i];
-        if (arg == name && i + 1 < argc) {
-            v = std::atol(argv[++i]);
-            continue;
-        }
-        if (arg.rfind(name + "=", 0) == 0) {
-            v = std::atol(arg.c_str() + name.size() + 1);
-            continue;
-        }
-        argv[out++] = argv[i];
-    }
-    argc = out;
-    return v;
-}
-
-/**
- * Pull a boolean flag (e.g. `--threads-sweep`) out of argv the same
+ * Pull a boolean flag (e.g. `--no-cgen`) out of argv the same
  * way extractJsonFlag does; returns whether it was present.
  */
 inline bool
@@ -294,9 +240,8 @@ benchTimestampIso()
 /**
  * Write the measurements as one JSON object: provenance metadata
  * (git SHA, UTC timestamp) plus a "records" array of
- * {design, engine, threads, cycles_per_sec} with optional
- * t_comp_frac/t_comm_frac/t_sync_frac fields on instrumented rows.
- * This is the BENCH_*.json trajectory format; fatal() on I/O error.
+ * {design, engine, threads, cycles_per_sec}, plus replicas and
+ * agg_lane_cycles_per_sec on gang rows; fatal() on I/O error.
  */
 inline void
 writePerfJson(const std::string &path,
@@ -315,26 +260,10 @@ writePerfJson(const std::string &path,
             << "\"engine\": \"" << r.engine << "\", "
             << "\"threads\": " << r.threads << ", "
             << "\"cycles_per_sec\": " << r.cyclesPerSec;
-        if (r.hasSplit)
-            out << ", \"t_comp_frac\": " << r.tCompFrac
-                << ", \"t_comm_frac\": " << r.tCommFrac
-                << ", \"t_sync_frac\": " << r.tSyncFrac;
         if (r.replicas > 1)
             out << ", \"replicas\": " << r.replicas
                 << ", \"agg_lane_cycles_per_sec\": "
                 << r.cyclesPerSec * r.replicas;
-        if (r.activity >= 0)
-            out << ", \"activity\": " << r.activity;
-        if (r.snapshotBytes > 0)
-            out << ", \"snapshot_bytes\": " << r.snapshotBytes
-                << ", \"raw_blob_bytes\": " << r.rawBlobBytes
-                << ", \"snapshot_ratio\": "
-                << (r.rawBlobBytes
-                        ? static_cast<double>(r.snapshotBytes) /
-                            static_cast<double>(r.rawBlobBytes)
-                        : 0.0)
-                << ", \"save_ms\": " << r.saveMs
-                << ", \"restore_ms\": " << r.restoreMs;
         out << "}" << (i + 1 < records.size() ? "," : "") << "\n";
     }
     out << "  ]\n}\n";

@@ -25,7 +25,7 @@
  * --replicas R (every session is a gang of R replica lanes; the
  * report then adds aggregate lane-cycles/sec = cycles/sec x R,
  * cross-checked against the host's serve_lane_cycles_executed
- * counter), --json FILE (BENCH_*.json trajectory rows: engine
+ * counter), --json FILE (bench::writePerfJson rows: engine
  * "serve-c1" is the baseline, "serve-cM" the M-client aggregate).
  */
 

@@ -148,9 +148,9 @@ llcBytes()
 
 /**
  * Gang throughput falls off a cliff once R replicas of the design no
- * longer fit the last-level cache (the documented R=16 knee in
- * BENCH_PR8.json): every slot access then streams from DRAM. Warn once
- * per process with the largest R that still fits.
+ * longer fit the last-level cache (the R=16 knee in DESIGN.md's "Gang
+ * cache-cliff warning"): every slot access then streams from DRAM.
+ * Warn once per process with the largest R that still fits.
  */
 void
 maybeWarnGangCacheCliff(const rtl::Netlist &nl, uint32_t replicas)
@@ -169,8 +169,8 @@ maybeWarnGangCacheCliff(const rtl::Netlist &nl, uint32_t replicas)
         fit = 1;
     warn("gang state for --replicas %u is ~%llu KiB, past the ~%llu "
          "MiB last-level cache — throughput drops off this cliff "
-         "(see BENCH_PR8.json at R=16); consider --replicas %llu or "
-         "fewer",
+         "(see DESIGN.md, \"Gang cache-cliff warning\"); consider "
+         "--replicas %llu or fewer",
          replicas, static_cast<unsigned long long>(total >> 10),
          static_cast<unsigned long long>(llc >> 20),
          static_cast<unsigned long long>(fit));

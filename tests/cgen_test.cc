@@ -10,12 +10,16 @@
  * must warn, keep simulating on the interpreter, and stay correct.
  * The split build (one TU compiled as per-core units and linked once)
  * is pinned the same way: split-built kernels against the generic
- * interpreter, and a compiler that fails on a single unit.
+ * interpreter, and a compiler that fails on a single unit. One
+ * wall-clock guard pins the backend's reason to exist: native pico
+ * and bitcoin step at least as fast as the fused interpreter.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cctype>
+#include <chrono>
 #include <cstdlib>
 #include <filesystem>
 #include <fstream>
@@ -34,6 +38,7 @@
 #include "random_netlist.hh"
 #include "rtl/cgen.hh"
 #include "rtl/interp.hh"
+#include "rtl/opt.hh"
 #include "serve/artifact.hh"
 #include "x86/parallel.hh"
 
@@ -113,6 +118,24 @@ lockStep(core::SimEngine &dut, core::SimEngine &ref, const char *what,
         ASSERT_EQ(ckpt::archStateFnv(dut), ckpt::archStateFnv(ref))
             << what << " at cycle " << c + 64;
     }
+}
+
+/** Cycles per second of @p engine over one window of at least
+ *  @p minSecs wall seconds. */
+double
+windowRate(core::SimEngine &engine, double minSecs)
+{
+    using clock = std::chrono::steady_clock;
+    constexpr uint64_t kBatch = 256;
+    uint64_t done = 0;
+    double secs = 0;
+    auto t0 = clock::now();
+    do {
+        engine.step(kBatch);
+        done += kBatch;
+        secs = std::chrono::duration<double>(clock::now() - t0).count();
+    } while (secs < minSecs);
+    return static_cast<double>(done) / secs;
 }
 
 } // namespace
@@ -973,4 +996,45 @@ TEST(Cgen, ConcurrentEmissionIsDeterministic)
         t.join();
     for (const auto &r : results)
         EXPECT_EQ(r, serial);
+}
+
+TEST(Cgen, NativeKernelBeatsInterpreter)
+{
+    // The native backend's reason to exist: built as users get them
+    // (core::makeEngine with default options, optimized netlist), the
+    // cgen engine steps pico and bitcoin at least as fast as the fused
+    // interpreter. Best of N interleaved windows of at least 50 ms
+    // each, so a loaded host slows both sides alike.
+    constexpr int kReps = 5;
+    constexpr double kWindowSecs = 0.05;
+    const std::pair<const char *, Netlist> cases[] = {
+        {"pico", designs::makePico(designs::defaultCoreConfig())},
+        {"bitcoin", designs::makeBitcoin({4, 16})},
+    };
+    for (const auto &[name, nl] : cases) {
+        auto make = [&nl = nl](core::EngineKind kind) {
+            core::EngineOptions eo;
+            eo.kind = kind;
+            return core::makeEngine(rtl::optimize(nl), eo);
+        };
+        auto interp = make(core::EngineKind::Interp);
+        auto cgen = make(core::EngineKind::Cgen);
+        auto *cg = dynamic_cast<CgenInterpreter *>(cgen.get());
+        ASSERT_NE(cg, nullptr) << name;
+        ASSERT_TRUE(cg->native())
+            << name << ": cgen fell back to the interpreter";
+        interp->step(1000);
+        cgen->step(1000);
+        double interpRate = 0, cgenRate = 0;
+        for (int r = 0; r < kReps; ++r) {
+            interpRate =
+                std::max(interpRate, windowRate(*interp, kWindowSecs));
+            cgenRate = std::max(cgenRate, windowRate(*cgen, kWindowSecs));
+        }
+        RecordProperty(std::string(name) + "_speedup_x100",
+                       static_cast<int>(cgenRate / interpRate * 100));
+        EXPECT_GE(cgenRate, interpRate)
+            << name << ": cgen " << cgenRate << " < interp " << interpRate
+            << " cycles/s";
+    }
 }

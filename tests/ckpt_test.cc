@@ -273,15 +273,21 @@ TEST(Snapshot, GangLanesRoundTrip)
 TEST(Snapshot, CompressedSmallerThanRawBlob)
 {
     // Acceptance: a v2 snapshot is at most half the raw engine blob
-    // (SimEngine::saveState) on pico.
-    Interpreter sim(designs::makePico(designs::defaultCoreConfig()));
-    sim.step(500);
-    std::stringstream raw, v2;
-    ASSERT_TRUE(sim.saveState(raw));
-    core::saveCheckpoint(sim, v2);
-    EXPECT_LE(v2.str().size() * 2, raw.str().size())
-        << "v2 " << v2.str().size() << "B vs raw " << raw.str().size()
-        << "B";
+    // (SimEngine::saveState) on pico and bitcoin.
+    const std::pair<const char *, Netlist> cases[] = {
+        {"pico", designs::makePico(designs::defaultCoreConfig())},
+        {"bitcoin", designs::makeBitcoin({4, 16})},
+    };
+    for (const auto &[name, nl] : cases) {
+        Interpreter sim(nl);
+        sim.step(500);
+        std::stringstream raw, v2;
+        ASSERT_TRUE(sim.saveState(raw)) << name;
+        core::saveCheckpoint(sim, v2);
+        EXPECT_LE(v2.str().size() * 2, raw.str().size())
+            << name << ": v2 " << v2.str().size() << "B vs raw "
+            << raw.str().size() << "B";
+    }
 }
 
 TEST(Snapshot, RejectsCorruptTruncatedAndReordered)
